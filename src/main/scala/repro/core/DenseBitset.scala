@@ -5,8 +5,8 @@ package repro.core
   * This is the data structure the paper budgets at `|V| * (k+1) / 8` bytes
   * (Section 4.2, item 4): one bitset per partition for the secondary /
   * replica sets plus one for the global core set. It is deliberately
-  * minimal — set/get/clear plus a popcount — so its cost model matches the
-  * paper's accounting exactly.
+  * minimal — set/get/clear, a popcount and word-level reads — so its cost
+  * model matches the paper's accounting exactly.
   *
   * @param n capacity in bits; ids outside `[0, n)` are rejected by `require`
   */
@@ -39,6 +39,14 @@ final class DenseBitset(val n: Int) {
     while (w < words.length) { c += java.lang.Long.bitCount(words(w)); w += 1 }
     c
   }
+
+  /** Number of 64-bit words backing the bitset, `ceil(n / 64)`. */
+  def wordCount: Int = words.length
+
+  /** Word `i` of the bitset: bit `j` of it is bit `64 * i + j` of the set.
+    * Bits at or above `n` in the last word are always zero.
+    */
+  def word(i: Int): Long = words(i)
 
   /** Clear all bits. */
   def clearAll(): Unit = java.util.Arrays.fill(words, 0L)

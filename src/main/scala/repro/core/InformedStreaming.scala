@@ -38,6 +38,52 @@ object HdrfScoring {
   * Mutates `pids`, `loads`, `replicas` in place, honouring the balancing
   * constraint `|p_i| <= ceil(alphaCap * |E| / k)` (candidates at capacity are
   * skipped; if every partition is full the least-loaded one is used).
+  *
+  * '''Exact candidate argmax.''' Each edge goes to the partition HDRF would
+  * pick by scoring all `k` partitions and taking the first maximum, but at
+  * most four partitions are scored. For an edge `(u, v)` the partitions
+  * fall into four replica classes: holding both endpoints, only `u`, only
+  * `v`, or neither.
+  *
+  *  - ''Class constant.'' Within a class, `HdrfScoring.score` is
+  *    `c + bal(load)`. The replication term `c = g(u) + g(v)` is the same
+  *    for every member (3, `2 - θ(u)`, `2 - θ(v)` and 0 for the four
+  *    classes), and so are `maxLoad` and `minLoad` in
+  *    `bal(load) = λ * (maxLoad - load) / (ε + maxLoad - minLoad)`.
+  *  - ''Strict monotonicity.'' Loads are integers below `2^32` (`run`
+  *    requires them below `2^31` on entry and adds one per edge), so
+  *    `maxLoad - load` is exact in a double and every rounding step is
+  *    monotone. Two loads differ by at least `λ / (ε + maxLoad - minLoad) >=
+  *    λ * 2^-32` in the balance term, far above the rounding error of
+  *    `c + bal <= 3 + λ` once `λ >= 1e-5`. So within a class the score falls
+  *    strictly with load, and the class's best members are exactly its
+  *    least-loaded non-full ones.
+  *  - ''Tie-break.'' Of those the full scan keeps the lowest `p`, and so
+  *    does the class search. Comparing the (at most four) class winners by
+  *    score, then by lower `p`, reproduces the full scan's first maximum bit
+  *    for bit.
+  *
+  * Classes are searched in falling order of `c`. A class whose score at
+  * `minLoad`, its best possible, is already below the best score found is
+  * skipped; with the default `λ` that rules out the "neither" class
+  * whenever a partition holding both endpoints has room.
+  *
+  * To find a class winner cheaply, `run` transposes the replica bitsets
+  * into one `ceil(k/64)`-word partition mask per vertex, so an edge reads
+  * two masks instead of `k` bitsets. It keeps `maxLoad`, `minLoad` and the
+  * set of partitions at `minLoad` up to date as loads grow, rescanning the
+  * `k` loads only when that set empties, which happens at most once per
+  * unit increase of `minLoad`. A class member at `minLoad` wins its class
+  * outright; otherwise the class's bits are scanned for the least load
+  * below capacity. If `minLoad` has reached capacity every partition is
+  * full, and the fallback is the lowest partition at `minLoad`.
+  *
+  * The `replicas` bitsets are updated as before (two `set`s per edge), so
+  * callers see the same state. The mask costs `|V| * ceil(k/64) * 8` bytes
+  * per `run` call and is not built when there is nothing to stream.
+  *
+  * @param lambda HDRF balance weight; must lie in `[1e-5, ∞)` for the
+  *               candidate argmax to be exact (the paper uses `1.1`)
   */
 final class InformedStreaming(
     g: GraphData,
@@ -49,45 +95,179 @@ final class InformedStreaming(
     alphaCap: Double = 1.05,
 ) {
   require(k >= 1 && alphaCap >= 1.0, s"invalid k=$k / alphaCap=$alphaCap")
+  require(lambda >= InformedStreaming.MinLambda && lambda < Double.PositiveInfinity,
+    s"lambda must be finite and >= ${InformedStreaming.MinLambda}, got $lambda")
+  require(loads.length == k && replicas.length == k && replicas.forall(_.n == g.nV),
+    s"need $k loads and $k replica bitsets over [0, ${g.nV})")
 
   private val capacity: Long = math.ceil(alphaCap * g.nE / k.toDouble).toLong
+  private val words = (k + 63) >>> 6
+
+  private val lastWord = if ((k & 63) == 0) -1L else (1L << (k & 63)) - 1L
+
+  private var fallbacks = 0L
+
+  /** Edges placed by the all-full fallback (every partition at capacity),
+    * summed over all [[run]] calls.
+    */
+  def allFullFallbacks: Long = fallbacks
 
   /** Stream the given edge ids (HEP passes the CSR's h2h buffer). */
   def run(edgeIds: Array[Int]): Unit = {
+    if (edgeIds.isEmpty) return
+    require(loads.forall(l => l >= 0 && l <= Int.MaxValue),
+      "partition loads must lie in [0, 2^31) before streaming")
     val deg = g.degrees
+    val mask = transposeReplicas()
+    val atMin = new Array[Long](words)
+    var minLoad = collectMin(atMin)
+    var atMinCount = popCount(atMin)
+    var maxLoad = 0L
+    for (l <- loads) if (l > maxLoad) maxLoad = l
+
     var i = 0
     while (i < edgeIds.length) {
       val eid = edgeIds(i)
       val u = g.src(eid); val v = g.dst(eid)
-      var minLoad = Long.MaxValue; var maxLoad = Long.MinValue
-      var p = 0
-      while (p < k) {
-        if (loads(p) < minLoad) minLoad = loads(p)
-        if (loads(p) > maxLoad) maxLoad = loads(p)
-        p += 1
-      }
+      val du = deg(u).toLong; val dv = deg(v).toLong
+      val uBase = u * words; val vBase = v * words
       var best = -1
-      var bestScore = Double.NegativeInfinity
-      p = 0
-      while (p < k) {
-        if (loads(p) < capacity) {
-          val s = HdrfScoring.score(deg(u), deg(v),
-            replicas(p).get(u), replicas(p).get(v),
-            loads(p), minLoad, maxLoad, lambda)
-          if (s > bestScore) { bestScore = s; best = p }
+      if (minLoad >= capacity) { // every partition at capacity: fall back to least loaded
+        best = lowestBit(atMin)
+        fallbacks += 1
+      } else {
+        // Classes by falling replication term: both, only v, only u, neither.
+        // One whose best possible score (at minLoad) is below the best so
+        // far cannot win and is not searched.
+        var bestScore = Double.NegativeInfinity
+        var c = 3
+        while (c >= 0) {
+          val inU = (c & 1) != 0; val inV = (c & 2) != 0
+          if (best < 0 ||
+              HdrfScoring.score(du, dv, inU, inV, minLoad, minLoad, maxLoad, lambda) >= bestScore) {
+            val p = classWinner(c, mask, uBase, vBase, atMin)
+            if (p >= 0) {
+              val s = HdrfScoring.score(du, dv, inU, inV, loads(p), minLoad, maxLoad, lambda)
+              if (s > bestScore || (s == bestScore && p < best)) { bestScore = s; best = p }
+            }
+          }
+          c -= 1
         }
-        p += 1
-      }
-      if (best < 0) { // every partition at capacity: fall back to least loaded
-        var q = 0
-        while (q < k) { if (best < 0 || loads(q) < loads(best)) best = q; q += 1 }
       }
       require(pids(eid) < 0, s"edge $eid already assigned before streaming")
       pids(eid) = best
-      loads(best) += 1
+      val load = loads(best)
+      loads(best) = load + 1
+      if (load + 1 > maxLoad) maxLoad = load + 1
+      if (load == minLoad) {
+        atMin(best >>> 6) &= ~(1L << (best & 63))
+        atMinCount -= 1
+        if (atMinCount == 0) { minLoad = collectMin(atMin); atMinCount = popCount(atMin) }
+      }
       replicas(best).set(u)
       replicas(best).set(v)
+      val bit = 1L << (best & 63)
+      mask(uBase + (best >>> 6)) |= bit
+      mask(vBase + (best >>> 6)) |= bit
       i += 1
     }
   }
+
+  /** Per-vertex partition masks: bit `p` of word `v * words + p / 64` is set
+    * iff `replicas(p)` holds `v`. Built in `O(|V| * k / 64 + Σ|R(p)|)` from
+    * the bitsets' words.
+    */
+  private def transposeReplicas(): Array[Long] = {
+    require(g.nV.toLong * words <= Int.MaxValue - 8,
+      s"partition masks for |V| = ${g.nV}, k = $k exceed one array")
+    val mask = new Array[Long](g.nV * words)
+    var p = 0
+    while (p < k) {
+      val r = replicas(p)
+      val w0 = p >>> 6
+      val bit = 1L << (p & 63)
+      var w = 0
+      while (w < r.wordCount) {
+        var x = r.word(w)
+        while (x != 0L) {
+          val v = (w << 6) | java.lang.Long.numberOfTrailingZeros(x)
+          mask(v * words + w0) |= bit
+          x &= x - 1L
+        }
+        w += 1
+      }
+      p += 1
+    }
+    mask
+  }
+
+  /** Partitions of replica class `c` (bit 0: holds `u`, bit 1: holds `v`)
+    * in word `w`, given the endpoints' mask words `mu` and `mv`.
+    */
+  private def classBits(c: Int, mu: Long, mv: Long, w: Int): Long = c match {
+    case 0 => ~(mu | mv) & (if (w == words - 1) lastWord else -1L)
+    case 1 => mu & ~mv
+    case 2 => ~mu & mv
+    case _ => mu & mv
+  }
+
+  /** Least-loaded non-full partition of replica class `c`, lowest `p` on
+    * ties, or -1 if the class has none. Requires `minLoad < capacity`, so a
+    * class member at `minLoad` wins outright; only otherwise are the class's
+    * loads scanned.
+    */
+  private def classWinner(c: Int, mask: Array[Long], uBase: Int, vBase: Int,
+                          atMin: Array[Long]): Int = {
+    var w = 0
+    while (w < words) {
+      val x = classBits(c, mask(uBase + w), mask(vBase + w), w) & atMin(w)
+      if (x != 0L) return (w << 6) | java.lang.Long.numberOfTrailingZeros(x)
+      w += 1
+    }
+    var best = -1
+    var bestLoad = capacity
+    w = 0
+    while (w < words) {
+      var x = classBits(c, mask(uBase + w), mask(vBase + w), w)
+      while (x != 0L) {
+        val p = (w << 6) | java.lang.Long.numberOfTrailingZeros(x)
+        val l = loads(p)
+        if (l < bestLoad) { bestLoad = l; best = p }
+        x &= x - 1L
+      }
+      w += 1
+    }
+    best
+  }
+
+  /** Fill `atMin` with the partitions at the minimum load; return that load. */
+  private def collectMin(atMin: Array[Long]): Long = {
+    var min = Long.MaxValue
+    var p = 0
+    while (p < k) { if (loads(p) < min) min = loads(p); p += 1 }
+    java.util.Arrays.fill(atMin, 0L)
+    p = 0
+    while (p < k) {
+      if (loads(p) == min) atMin(p >>> 6) |= 1L << (p & 63)
+      p += 1
+    }
+    min
+  }
+
+  private def popCount(bits: Array[Long]): Int = {
+    var c = 0; var w = 0
+    while (w < bits.length) { c += java.lang.Long.bitCount(bits(w)); w += 1 }
+    c
+  }
+
+  private def lowestBit(bits: Array[Long]): Int = {
+    var w = 0
+    while (bits(w) == 0L) w += 1
+    (w << 6) | java.lang.Long.numberOfTrailingZeros(bits(w))
+  }
+}
+
+object InformedStreaming {
+  /** Smallest HDRF balance weight for which the candidate argmax is exact. */
+  val MinLambda = 1e-5
 }

@@ -31,7 +31,8 @@ object TableHarness {
   final case class T1Row(algo: String, k: Int, nE: Int, millis: Long)
 
   /** Empirical runtime grid over k (complexity-in-k shape) and |E|
-    * (complexity-in-|E| shape) for every implemented partitioner.
+    * (complexity-in-|E| shape) for every implemented partitioner. Each cell
+    * is the median of 3 timed runs after one warm-up run (JIT + caches).
     */
   def table1(g: GraphData, ks: Seq[Int], halfEdges: Boolean = true): Seq[T1Row] = {
     val gHalf = new GraphData(g.nV, g.src.take(g.nE / 2), g.dst.take(g.nE / 2))
@@ -40,9 +41,10 @@ object TableHarness {
       (graph, tag) <- Seq((g, g.nE)) ++ (if (halfEdges) Seq((gHalf, gHalf.nE)) else Nil)
       k <- ks
     } yield {
-      val res = algo.partition(graph, k)
-      Partitioners.validate(graph, res)
-      T1Row(res.partitionerName, k, tag, res.buildMillis)
+      algo.partition(graph, k) // warm-up run
+      val timed = Seq.fill(3)(algo.partition(graph, k))
+      timed.foreach(Partitioners.validate(graph, _))
+      T1Row(timed.head.partitionerName, k, tag, timed.map(_.buildMillis).sorted.apply(1))
     }
   }
 

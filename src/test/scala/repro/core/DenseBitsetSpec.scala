@@ -63,6 +63,19 @@ class DenseBitsetSpec extends AnyFunSuite with PropHelper {
     assert(new DenseBitset(1024).footprintBytes == 128)
   }
 
+  test("word-level reads expose the set bits, 64 per word") {
+    val b = new DenseBitset(130)
+    Seq(0, 5, 63, 64, 127, 128, 129).foreach(b.set)
+    assert(b.wordCount == 3)
+    assert(b.word(0) == (1L | (1L << 5) | (1L << 63)))
+    assert(b.word(1) == (1L | (1L << 63)))
+    assert(b.word(2) == 3L)
+    b.clear(64)
+    assert(b.word(1) == (1L << 63))
+    assert(new DenseBitset(0).wordCount == 0)
+    assert(new DenseBitset(64).wordCount == 1)
+  }
+
   test("property: agrees with a reference Set[Int] under random operations") {
     val n = 300
     val opsGen = Gen.listOfN(200, Gen.zip(Gen.oneOf(0, 1, 2), Gen.choose(0, n - 1)))

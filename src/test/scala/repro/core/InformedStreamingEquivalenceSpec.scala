@@ -1,0 +1,155 @@
+package repro.core
+
+import org.scalatest.funsuite.AnyFunSuite
+import repro.TestGraphs
+import scala.util.Random
+
+/** `InformedStreaming` scores at most four candidate partitions per edge.
+  * These tests hold it to the full-scan HDRF loop it replaced: identical
+  * `pids`, `loads` and replica sets on a grid of graphs, `k` (including
+  * partial 64-bit mask words), `tau`, `alpha`, cold and NE++-seeded state.
+  */
+class InformedStreamingEquivalenceSpec extends AnyFunSuite {
+
+  private final class State(val pids: Array[Int], val loads: Array[Long], val replicas: Array[DenseBitset]) {
+    def deepCopy(): State = new State(pids.clone(), loads.clone(), replicas.map { r =>
+      val c = new DenseBitset(r.n)
+      (0 until r.n).foreach(v => if (r.get(v)) c.set(v))
+      c
+    })
+  }
+
+  private def empty(g: GraphData, k: Int) =
+    new State(Array.fill(g.nE)(-1), new Array[Long](k), Array.fill(k)(new DenseBitset(g.nV)))
+
+  /** Frozen copy of the full-scan streaming loop: score every partition,
+    * keep the first maximum, fall back to the least-loaded (lowest `p`)
+    * partition when all are full. Returns the number of fallbacks.
+    */
+  private def fullScan(g: GraphData, k: Int, s: State, lambda: Double, alphaCap: Double,
+                       edgeIds: Array[Int]): Long = {
+    val capacity = math.ceil(alphaCap * g.nE / k.toDouble).toLong
+    val deg = g.degrees
+    var fallbacks = 0L
+    for (eid <- edgeIds) {
+      val u = g.src(eid); val v = g.dst(eid)
+      val minLoad = s.loads.min; val maxLoad = s.loads.max
+      var best = -1
+      var bestScore = Double.NegativeInfinity
+      for (p <- 0 until k if s.loads(p) < capacity) {
+        val sc = HdrfScoring.score(deg(u), deg(v), s.replicas(p).get(u), s.replicas(p).get(v),
+          s.loads(p), minLoad, maxLoad, lambda)
+        if (sc > bestScore) { bestScore = sc; best = p }
+      }
+      if (best < 0) {
+        fallbacks += 1
+        for (q <- 0 until k) if (best < 0 || s.loads(q) < s.loads(best)) best = q
+      }
+      s.pids(eid) = best
+      s.loads(best) += 1
+      s.replicas(best).set(u)
+      s.replicas(best).set(v)
+    }
+    fallbacks
+  }
+
+  /** Stream `edgeIds` from `start` with both engines; assert identical results. */
+  private def assertSame(g: GraphData, k: Int, start: State, edgeIds: Array[Int], label: String,
+                         lambda: Double = HdrfScoring.DefaultLambda,
+                         alphaCap: Double = 1.05): Long = {
+    val expected = start.deepCopy()
+    val expectedFallbacks = fullScan(g, k, expected, lambda, alphaCap, edgeIds)
+    val actual = start.deepCopy()
+    val engine = new InformedStreaming(g, k, actual.pids, actual.loads, actual.replicas, lambda, alphaCap)
+    engine.run(edgeIds)
+    assert(actual.pids.sameElements(expected.pids), s"pids differ: $label")
+    assert(actual.loads.sameElements(expected.loads), s"loads differ: $label")
+    (0 until k).foreach { p =>
+      val (a, e) = (actual.replicas(p), expected.replicas(p))
+      assert(a.cardinality == e.cardinality, s"replica cardinality of partition $p differs: $label")
+      assert((0 until a.wordCount).forall(w => a.word(w) == e.word(w)),
+        s"replica set of partition $p differs: $label")
+    }
+    assert(engine.allFullFallbacks == expectedFallbacks, s"fallback count differs: $label")
+    expectedFallbacks
+  }
+
+  private val graphs = Seq(
+    "power-law" -> TestGraphs.powerLaw(500, 3000, gamma = 2.5, seed = 301),
+    "random" -> TestGraphs.random(200, 1200, seed = 302),
+  )
+  private val ks = Seq(1, 2, 3, 7, 32, 64, 65, 130)
+  private val taus = Seq(0.3, 1.0, 3.0)
+  private val alphas = Seq(1.0, 1.05, 1.5)
+
+  test("cold streams match the full scan on every (graph, k, alpha)") {
+    for ((name, g) <- graphs; k <- ks; alpha <- alphas) {
+      val order = new Random(k * 31 + g.nE).shuffle((0 until g.nE).toVector).toArray
+      assertSame(g, k, empty(g, k), order, s"cold $name k=$k alpha=$alpha", alphaCap = alpha)
+    }
+  }
+
+  test("NE++-seeded streams match the full scan on every (graph, k, tau, alpha)") {
+    for ((name, g) <- graphs; k <- ks; tau <- taus; alpha <- alphas) {
+      val csr = PrunedCsr.build(g, Some(tau))
+      val seeded = empty(g, k)
+      new NePlusPlus(csr, k, seeded.pids, seeded.loads, seeded.replicas, EdgeRemoval.Lazy).run()
+      assertSame(g, k, seeded, csr.h2hEdgeIds, s"seeded $name k=$k tau=$tau alpha=$alpha",
+        alphaCap = alpha)
+    }
+  }
+
+  test("random preset state with many load ties matches the full scan, across lambda") {
+    val g = TestGraphs.powerLaw(300, 1500, gamma = 2.0, seed = 303)
+    val rnd = new Random(304)
+    for (k <- ks; lambda <- Seq(InformedStreaming.MinLambda, 1.1, 1000.0); round <- 0 until 2) {
+      val cap = math.ceil(1.05 * g.nE / k).toLong
+      val s = empty(g, k)
+      (0 until k).foreach { p =>
+        s.loads(p) = rnd.nextInt(4).toLong * cap / 4 // ties, some partitions already at 3/4
+        (0 until g.nV).foreach(v => if (rnd.nextInt(k + 1) == 0) s.replicas(p).set(v))
+      }
+      val half = rnd.shuffle((0 until g.nE).toVector).take(g.nE / 2).toArray
+      assertSame(g, k, s, half, s"preset k=$k lambda=$lambda round=$round", lambda = lambda)
+    }
+  }
+
+  test("an empty edge list changes nothing") {
+    val g = TestGraphs.random(50, 100, seed = 305)
+    for (k <- ks) {
+      val s = empty(g, k)
+      s.loads(0) = 3; s.replicas(k - 1).set(7)
+      assert(assertSame(g, k, s, Array.emptyIntArray, s"empty k=$k") == 0L)
+    }
+  }
+
+  test("loads preset at capacity take the all-full fallback and count it") {
+    val g = TestGraphs.powerLaw(200, 800, gamma = 2.5, seed = 306)
+    for (k <- ks) {
+      val cap = math.ceil(1.05 * g.nE / k).toLong
+      val s = empty(g, k)
+      (0 until k).foreach(p => s.loads(p) = cap + (p % 3)) // full, unequal loads
+      val edges = Array.range(0, g.nE / 4)
+      assert(assertSame(g, k, s, edges, s"full k=$k") == edges.length.toLong)
+    }
+  }
+
+  test("partitions filling up mid-stream switch to the fallback at the same edge") {
+    val g = TestGraphs.random(120, 600, seed = 307)
+    for (k <- ks) {
+      val cap = math.ceil(1.0 * g.nE / k).toLong
+      val s = empty(g, k)
+      (0 until k).foreach(p => s.loads(p) = math.max(0L, cap - 1 - (p % 2)))
+      val fallbacks = assertSame(g, k, s, Array.range(0, g.nE), s"filling k=$k", alphaCap = 1.0)
+      assert(fallbacks > 0, s"k=$k never reached the all-full state")
+    }
+  }
+
+  test("lambda below the exactness bound is rejected") {
+    val g = TestGraphs.random(10, 20, seed = 308)
+    val s = empty(g, 2)
+    intercept[IllegalArgumentException] {
+      new InformedStreaming(g, 2, s.pids, s.loads, s.replicas, lambda = 0.0)
+    }
+  }
+}
