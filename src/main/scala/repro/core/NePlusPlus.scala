@@ -1,27 +1,22 @@
 package repro.core
 
-import scala.collection.mutable.ArrayBuffer
-
 /** How assigned edges are invalidated during neighbourhood expansion.
   *
-  *  - [[EdgeRemoval.Lazy]] — NE++ (Section 3.2.2): nothing is touched during
-  *    an expansion; after each partition a clean-up pass swap-removes, from
-  *    the adjacency lists of the vertices still in `S_i`, every entry whose
-  *    edge was assigned (neighbour in `C ∪ S_i` or high-degree).
-  *  - [[EdgeRemoval.Eager]] — the reference-NE behaviour the paper
-  *    criticises: a per-edge validity flag (here: `pids(e) >= 0`) consulted
-  *    on *every* adjacency traversal, with no physical removal. This is what
-  *    makes baseline NE slower and bigger.
+  * NE++ has one mode, [[EdgeRemoval.Lazy]] (Section 3.2.2): nothing is
+  * touched during an expansion; after each partition a clean-up pass
+  * swap-removes, from the adjacency lists of the vertices still in `S_i`,
+  * every entry whose edge was assigned (neighbour in `C ∪ S_i` or
+  * high-degree). The type exists only to keep the [[NePlusPlus]] constructor
+  * signature; the NE baseline with eager per-edge bookkeeping is the
+  * separate engine `baselines.NeBaseline`.
   */
 sealed trait EdgeRemoval
 object EdgeRemoval {
   case object Lazy extends EdgeRemoval
-  case object Eager extends EdgeRemoval
 }
 
 /** The in-memory neighbourhood-expansion phase of HEP (Algorithms 1–3 of the
-  * paper), generalised so that the plain-NE baseline is the same engine with
-  * `removal = Eager` over an unpruned CSR.
+  * paper).
   *
   * Faithfulness notes (see DESIGN.md §2):
   *  - high-degree vertices are treated as *a-priori members of the secondary
@@ -38,6 +33,19 @@ object EdgeRemoval {
   *    low-degree left-hand vertex (plus in-entries from high-degree
   *    neighbours, which exist only on the low-degree side).
   *
+  * Layout: one state byte per vertex (free, secondary, core or high) answers
+  * every "is `u` in `C ∪ S_i ∪ V_h`" test with one load, and the expansion,
+  * secondary-scan and clean-up kernels walk the CSR's neighbour column
+  * directly over loop-local bounds, reading the edge-id column only for
+  * entries they assign or move. Every column entry they read or move is
+  * reported to `csr.tracer`, as [[PrunedCsr.nbrAt]] and
+  * [[PrunedCsr.removeOutAt]] would. Expansion assignments reach `pids`
+  * through a small write-back buffer, flushed when full and after every
+  * partition: `pids` is indexed by input edge id, so each write is a random
+  * access, and a batch of them overlaps the cache misses that one write per
+  * assignment would wait for inside the kernels. The double-assignment
+  * check runs on write-back; loads and replica sets are updated at once.
+  *
   * The engine mutates `pids`, `loads` and `replicas` in place so that the
   * streaming phase continues from the same state (Section 3.3).
   */
@@ -49,14 +57,31 @@ final class NePlusPlus(
     replicas: Array[DenseBitset],
     removal: EdgeRemoval,
 ) {
-  require(k >= 1, s"k must be >= 1, got $k")
-  private val g = csr.g
-  private val eager = removal == EdgeRemoval.Eager
+  import NePlusPlus._
 
-  private val core = new DenseBitset(g.nV)
-  private val secondary = new DenseBitset(g.nV)
-  private val members = new ArrayBuffer[Int]()
-  private val heap = new IndexedMinHeap(g.nV)
+  require(k >= 1, s"k must be >= 1, got $k")
+  private val nV = csr.g.nV
+  private val blockStart = csr.blockStart
+  private val outCap = csr.outCap
+  private val outSize = csr.outSizeArr
+  private val inSize = csr.inSizeArr
+  private val nbr = csr.nbr
+  private val eid = csr.eid
+
+  private val state: Array[Byte] = {
+    val s = new Array[Byte](nV)
+    var v = 0
+    while (v < nV) { if (csr.isHigh(v)) s(v) = High; v += 1 }
+    s
+  }
+  /** Vertices moved into `S_i` during the current partition, in order. */
+  private val members = new Array[Int](nV)
+  private var memberCount = 0
+  private val heap = new IndexedMinHeap(nV)
+  /** Expansion assignments not yet written to `pids`, in assignment order. */
+  private val pendingEid = new Array[Int](WriteBackBatch)
+  private val pendingPid = new Array[Int](WriteBackBatch)
+  private var pending = 0
 
   /** Adapted capacity bound (Section 3.2.3): in-memory edges are spread over
     * the k partitions; h2h edges are the streaming phase's budget.
@@ -67,9 +92,20 @@ final class NePlusPlus(
 
   private var assigned = 0L
   private var seedPtr = 0
+  private var cores = 0
+  private var seeds = 0L
+  private var spilled = 0L
 
   /** Vertices moved to the core set (exposed for tests/diagnostics). */
-  def coreSize: Int = core.cardinality
+  def coreSize: Int = cores
+
+  /** Expansions started from a fresh seed of the sequential scan. */
+  def seedsTaken: Long = seeds
+
+  /** Edges assigned to a partition other than the one being expanded,
+    * because it had reached [[capacity]].
+    */
+  def spilledEdges: Long = spilled
 
   /** Run the complete in-memory phase. */
   def run(): Unit = {
@@ -77,7 +113,8 @@ final class NePlusPlus(
     var i = 0
     while (i < k - 1 && assigned < total) {
       expand(i)
-      if (!eager) cleanUp()
+      writeBack()
+      cleanUp()
       resetSecondary()
       i += 1
     }
@@ -95,50 +132,48 @@ final class NePlusPlus(
       if (heap.nonEmpty) moveToCore(heap.popMin(), i)
       else {
         val s = nextSeed()
-        if (s < 0) exhausted = true else moveToCore(s, i)
+        if (s < 0) exhausted = true
+        else { seeds += 1; moveToCore(s, i) }
       }
     }
   }
 
   /** Sequential-scan initialisation (Section 3.2.3): a vertex rejected once
     * can never become suitable again (its valid degree only shrinks and the
-    * core set only grows), so the pointer never revisits.
+    * core set only grows), so the pointer never revisits. The scan runs only
+    * once the heap is empty, when every secondary vertex is already core.
     */
   private def nextSeed(): Int = {
-    while (seedPtr < g.nV) {
+    while (seedPtr < nV) {
       val v = seedPtr
-      if (!core.get(v) && !csr.isHigh(v) && hasUnassignedEdge(v)) return v
+      if (state(v) == Free && outSize(v) + inSize(v) > 0) return v
       seedPtr += 1
     }
     -1
   }
 
-  private def hasUnassignedEdge(v: Int): Boolean =
-    if (!eager) csr.validDegree(v) > 0
-    else {
-      // reference-NE inefficiency: must scan the flags
-      var idx = csr.outStart(v); var end = idx + csr.outSize(v)
-      while (idx < end) { if (pids(csr.eidAt(idx)) < 0) return true; idx += 1 }
-      idx = csr.inStart(v); end = idx + csr.inSize(v)
-      while (idx < end) { if (pids(csr.eidAt(idx)) < 0) return true; idx += 1 }
-      false
-    }
-
   private def moveToCore(v: Int, i: Int): Unit = {
-    if (secondary.get(v)) secondary.clear(v)
-    else secondaryWork(v, i, insertHeap = false) // fresh seed: assign its C/S/high edges first
-    core.set(v)
-    // move external low-degree neighbours into the secondary set
-    var idx = csr.outStart(v); var end = idx + csr.outSize(v)
-    while (idx < end) { coreNeighbour(csr.nbrAt(idx), csr.eidAt(idx), i); idx += 1 }
-    idx = csr.inStart(v); end = idx + csr.inSize(v)
-    while (idx < end) { coreNeighbour(csr.nbrAt(idx), csr.eidAt(idx), i); idx += 1 }
+    // a fresh seed assigns its C/S/high edges first
+    if (state(v) != Secondary) secondaryWork(v, i, insertHeap = false)
+    state(v) = Core
+    cores += 1
+    val out = blockStart(v)
+    expandKernel(out, out + outSize(v), i)
+    val in = out + outCap(v)
+    expandKernel(in, in + inSize(v), i)
   }
 
-  private def coreNeighbour(u: Int, eid: Int, i: Int): Unit = {
-    if (!(eager && pids(eid) >= 0) &&
-        !csr.isHigh(u) && !core.get(u) && !secondary.get(u)) {
-      secondaryWork(u, i, insertHeap = true)
+  /** Expansion kernel: move every free neighbour in `[from, until)` into
+    * `S_i`.
+    */
+  private def expandKernel(from: Int, until: Int, i: Int): Unit = {
+    val tracer = csr.tracer
+    var idx = from
+    while (idx < until) {
+      if (tracer ne null) tracer.onAccess(idx)
+      val u = nbr(idx)
+      if (state(u) == Free) secondaryWork(u, i, insertHeap = true)
+      idx += 1
     }
   }
 
@@ -147,95 +182,141 @@ final class NePlusPlus(
     * with its own external degree.
     */
   private def secondaryWork(v: Int, i: Int, insertHeap: Boolean): Unit = {
-    var dext = 0
-    var idx = csr.outStart(v); var end = idx + csr.outSize(v)
-    while (idx < end) {
-      dext += secondaryEntry(v, csr.nbrAt(idx), csr.eidAt(idx), i)
-      idx += 1
-    }
-    idx = csr.inStart(v); end = idx + csr.inSize(v)
-    while (idx < end) {
-      dext += secondaryEntry(v, csr.nbrAt(idx), csr.eidAt(idx), i)
-      idx += 1
-    }
-    secondary.set(v)
-    members += v
+    val out = blockStart(v)
+    val in = out + outCap(v)
+    val dext = secondaryKernel(v, out, out + outSize(v), i) +
+      secondaryKernel(v, in, in + inSize(v), i)
+    state(v) = Secondary
+    members(memberCount) = v
+    memberCount += 1
     if (insertHeap) heap.insert(v, dext)
   }
 
-  /** Returns 1 when the neighbour is external (counts towards d_ext). */
-  private def secondaryEntry(v: Int, u: Int, eid: Int, i: Int): Int = {
-    if (eager && pids(eid) >= 0) 0
-    else if (core.get(u) || secondary.get(u) || csr.isHigh(u)) {
-      assignEdge(eid, v, u, i)
-      if (heap.contains(u)) heap.decrease(u)
-      0
-    } else 1
+  /** Secondary-scan kernel over `[from, until)` of `v`'s column: assigns the
+    * edges to non-free neighbours and returns the count of free (external)
+    * ones. Every secondary vertex is in the heap: seeds go straight to the
+    * core, popped vertices leave both.
+    */
+  private def secondaryKernel(v: Int, from: Int, until: Int, i: Int): Int = {
+    val tracer = csr.tracer
+    var dext = 0
+    var idx = from
+    while (idx < until) {
+      if (tracer ne null) tracer.onAccess(idx)
+      val u = nbr(idx)
+      val s = state(u)
+      if (s == Free) dext += 1
+      else {
+        assignEdge(eid(idx), v, u, i)
+        if (s == Secondary) heap.decrease(u)
+      }
+      idx += 1
+    }
+    dext
   }
 
   /** Assign with cascading spill-over past full partitions (Algorithm 1,
-    * lines 26–28).
+    * lines 26–28). The `pids` entry is written by [[writeBack]].
     */
-  private def assignEdge(eid: Int, a: Int, b: Int, i: Int): Unit = {
-    require(pids(eid) < 0, s"double assignment of edge $eid")
+  private def assignEdge(e: Int, a: Int, b: Int, i: Int): Unit = {
     var p = i
     while (p < k - 1 && loads(p) >= capacity) p += 1
-    pids(eid) = p
+    if (p != i) spilled += 1
+    pendingEid(pending) = e
+    pendingPid(pending) = p
+    pending += 1
+    if (pending == WriteBackBatch) writeBack()
     loads(p) += 1
     assigned += 1
     replicas(p).set(a)
     replicas(p).set(b)
   }
 
+  /** Write the buffered assignments to `pids`, each to a so far unassigned
+    * edge.
+    */
+  private def writeBack(): Unit = {
+    var j = 0
+    while (j < pending) {
+      val e = pendingEid(j)
+      require(pids(e) < 0, s"double assignment of edge $e")
+      pids(e) = pendingPid(j)
+      j += 1
+    }
+    pending = 0
+  }
+
   // -- lazy clean-up (Algorithm 2) -------------------------------------------
 
+  /** Clean the lists of the members still in `S_i`. Members now in the core,
+    * seeds included, are skipped: no later step reads a core vertex's lists.
+    */
   private def cleanUp(): Unit = {
     var m = 0
-    while (m < members.length) {
+    while (m < memberCount) {
       val v = members(m)
-      if (secondary.get(v)) { // skip members later promoted to the core
-        var idx = csr.outStart(v)
-        while (idx < csr.outStart(v) + csr.outSize(v)) {
-          val u = csr.nbrAt(idx)
-          if (core.get(u) || secondary.get(u) || csr.isHigh(u)) csr.removeOutAt(v, idx)
-          else idx += 1
-        }
-        idx = csr.inStart(v)
-        while (idx < csr.inStart(v) + csr.inSize(v)) {
-          val u = csr.nbrAt(idx)
-          if (core.get(u) || secondary.get(u) || csr.isHigh(u)) csr.removeInAt(v, idx)
-          else idx += 1
-        }
+      if (state(v) == Secondary) {
+        val out = blockStart(v)
+        outSize(v) = cleanKernel(out, outSize(v))
+        inSize(v) = cleanKernel(out + outCap(v), inSize(v))
       }
       m += 1
     }
   }
 
+  /** Clean-up kernel: swap-remove every entry of `[from, from + size)` whose
+    * neighbour is not free, and return the region's new size.
+    */
+  private def cleanKernel(from: Int, size: Int): Int = {
+    val tracer = csr.tracer
+    var idx = from
+    var last = from + size - 1
+    while (idx <= last) {
+      if (tracer ne null) tracer.onAccess(idx)
+      if (state(nbr(idx)) != Free) {
+        if (tracer ne null) { tracer.onAccess(idx); tracer.onAccess(last) }
+        nbr(idx) = nbr(last)
+        eid(idx) = eid(last)
+        last -= 1
+      } else idx += 1
+    }
+    last + 1 - from
+  }
+
   private def resetSecondary(): Unit = {
     var m = 0
-    while (m < members.length) { secondary.clear(members(m)); m += 1 }
-    members.clear()
+    while (m < memberCount) {
+      val v = members(m)
+      if (state(v) == Secondary) state(v) = Free
+      m += 1
+    }
+    memberCount = 0
     heap.clear()
   }
 
   // -- last partition (Algorithm 3) ------------------------------------------
 
+  /** Every vertex is free, core or high here: the last expansion's secondary
+    * set has been reset.
+    */
   private def assignRemaining(last: Int): Unit = {
+    val tracer = csr.tracer
     var v = 0
-    while (v < g.nV) {
-      if (!core.get(v) && !csr.isHigh(v)) {
-        var idx = csr.outStart(v); var end = idx + csr.outSize(v)
+    while (v < nV) {
+      if (state(v) == Free) {
+        var idx = blockStart(v); var end = idx + outSize(v)
         while (idx < end) {
-          val eid = csr.eidAt(idx)
-          if (!(eager && pids(eid) >= 0)) assignLast(eid, v, csr.nbrAt(idx), last)
+          if (tracer ne null) tracer.onAccess(idx)
+          assignLast(eid(idx), v, nbr(idx), last)
           idx += 1
         }
-        idx = csr.inStart(v); end = idx + csr.inSize(v)
+        idx = blockStart(v) + outCap(v); end = idx + inSize(v)
         while (idx < end) {
-          val u = csr.nbrAt(idx); val eid = csr.eidAt(idx)
+          if (tracer ne null) tracer.onAccess(idx)
+          val u = nbr(idx)
           // low/low in-entries are covered from the neighbour's out-list;
           // low/high edges exist only on this (low) side.
-          if (csr.isHigh(u) && !(eager && pids(eid) >= 0)) assignLast(eid, v, u, last)
+          if (state(u) == High) assignLast(eid(idx), v, u, last)
           idx += 1
         }
       }
@@ -243,12 +324,24 @@ final class NePlusPlus(
     }
   }
 
-  private def assignLast(eid: Int, a: Int, b: Int, last: Int): Unit = {
-    require(pids(eid) < 0, s"double assignment of edge $eid in last partition")
-    pids(eid) = last
+  private def assignLast(e: Int, a: Int, b: Int, last: Int): Unit = {
+    require(pids(e) < 0, s"double assignment of edge $e in last partition")
+    pids(e) = last
     loads(last) += 1
     assigned += 1
     replicas(last).set(a)
     replicas(last).set(b)
   }
+}
+
+object NePlusPlus {
+  /** Capacity of the `pids` write-back buffer (32 KiB of ids). */
+  private final val WriteBackBatch = 4096
+
+  // Per-vertex states. A seed goes Free → Secondary → Core within one
+  // moveToCore; high-degree vertices are High from construction on.
+  private final val Free: Byte = 0
+  private final val Secondary: Byte = 1
+  private final val Core: Byte = 2
+  private final val High: Byte = 3
 }

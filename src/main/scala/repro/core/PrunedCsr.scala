@@ -10,7 +10,7 @@ trait AccessTracer {
 
 /** The pruned dual-index CSR of Section 3.2.1 / 4.2.
   *
-  * Per vertex the column array holds one contiguous block: the *out*-list
+  * Per vertex the column holds one contiguous block: the *out*-list
   * (edges whose input-edge-list orientation is `(v, u)`) followed by the
   * *in*-list (edges `(u, v)`), each with its own mutable size field so a
   * removed entry can be swap-replaced by the last valid entry of its region
@@ -19,25 +19,29 @@ trait AccessTracer {
   * Pruning: vertices with `d(v) > tau * meanDegree` are *high-degree*; their
   * adjacency lists are omitted entirely, and edges between two high-degree
   * vertices are diverted into [[h2hEdgeIds]] (the paper's "external edge
-  * file" that the streaming phase consumes). `tau = None` disables pruning
-  * (used by the NE baseline).
+  * file" that the streaming phase consumes). `tau = None` disables pruning.
   *
-  * Each column entry packs `(neighbour id, edge id)` into one Long so that a
-  * partitioner can record assignments against the original edge list. The
-  * paper stores 4-byte neighbour ids only; [[memoryFootprintBytes]]
-  * deliberately reports the paper's Section 4.2 model (b_id = 4), not the
-  * JVM representation, so memory comparisons match the paper's accounting.
+  * The column is two parallel `Int` arrays: `nbr`, the paper's 4-byte
+  * (b_id = 4) neighbour-id column, and `eid`, the edge id of the same entry,
+  * so a partitioner can record assignments against the original edge list.
+  * Scans that only test neighbours read `nbr` alone. A swap-removal moves
+  * both. [[memoryFootprintBytes]] reports the paper's Section 4.2 model,
+  * which counts the neighbour column only, so memory comparisons match the
+  * paper's accounting.
+  *
+  * The column length is an `Int`: [[PrunedCsr.build]] rejects graphs whose
+  * low-degree adjacency exceeds the largest JVM array.
   */
 final class PrunedCsr private (
     val g: GraphData,
     val tau: Option[Double],
     private val high: Array[Boolean],
-    private val blockStart: Array[Int],
-    private val outCap: Array[Int],
-    private val inCap: Array[Int],
-    private val outSizeArr: Array[Int],
-    private val inSizeArr: Array[Int],
-    private val col: Array[Long],
+    private[core] val blockStart: Array[Int],
+    private[core] val outCap: Array[Int],
+    private[core] val outSizeArr: Array[Int],
+    private[core] val inSizeArr: Array[Int],
+    private[core] val nbr: Array[Int],
+    private[core] val eid: Array[Int],
     val h2hEdgeIds: Array[Int],
 ) {
 
@@ -53,10 +57,10 @@ final class PrunedCsr private (
   /** Edges kept in memory (everything but the h2h set). */
   def inMemEdgeCount: Int = g.nE - h2hEdgeIds.length
 
-  /** Total column-array length (2 entries per in-memory low/low edge, one
-    * per low/high edge).
+  /** Total column length (2 entries per in-memory low/low edge, one per
+    * low/high edge).
     */
-  def colLength: Int = col.length
+  def colLength: Int = nbr.length
 
   // -- region accessors ------------------------------------------------------
 
@@ -71,13 +75,13 @@ final class PrunedCsr private (
   /** Neighbour id stored at absolute column index `i`. */
   def nbrAt(i: Int): Int = {
     if (tracer ne null) tracer.onAccess(i)
-    (col(i) >>> 32).toInt
+    nbr(i)
   }
 
   /** Edge id stored at absolute column index `i` (no second tracer report —
     * an entry read is one logical access).
     */
-  def eidAt(i: Int): Int = col(i).toInt
+  def eidAt(i: Int): Int = eid(i)
 
   // -- lazy removal ----------------------------------------------------------
 
@@ -86,7 +90,7 @@ final class PrunedCsr private (
     val last = blockStart(v) + outSizeArr(v) - 1
     require(i >= blockStart(v) && i <= last, s"out index $i invalid for vertex $v")
     if (tracer ne null) { tracer.onAccess(i); tracer.onAccess(last) }
-    col(i) = col(last)
+    moveEntry(last, i)
     outSizeArr(v) -= 1
   }
 
@@ -96,8 +100,14 @@ final class PrunedCsr private (
     val last = st + inSizeArr(v) - 1
     require(i >= st && i <= last, s"in index $i invalid for vertex $v")
     if (tracer ne null) { tracer.onAccess(i); tracer.onAccess(last) }
-    col(i) = col(last)
+    moveEntry(last, i)
     inSizeArr(v) -= 1
+  }
+
+  /** Copy the entry at `from` over the one at `to` (no tracer report). */
+  private def moveEntry(from: Int, to: Int): Unit = {
+    nbr(to) = nbr(from)
+    eid(to) = eid(from)
   }
 
   // -- memory model ----------------------------------------------------------
@@ -110,7 +120,7 @@ final class PrunedCsr private (
     */
   def memoryFootprintBytes(k: Int): Long = {
     val bId = 4L
-    col.length.toLong * bId + 6L * g.nV * bId + (g.nV.toLong * (k + 1) + 7) / 8
+    nbr.length.toLong * bId + 6L * g.nV * bId + (g.nV.toLong * (k + 1) + 7) / 8
   }
 }
 
@@ -146,16 +156,10 @@ object PrunedCsr {
       e += 1
     }
 
-    val blockStart = new Array[Int](nV)
-    var run = 0
-    var v = 0
-    while (v < nV) {
-      blockStart(v) = run
-      run += outCnt(v) + inCnt(v)
-      v += 1
-    }
-
-    val col = new Array[Long](run)
+    val blockStart = blockStarts(outCnt, inCnt)
+    val colLen = blockStart(nV)
+    val nbr = new Array[Int](colLen)
+    val eid = new Array[Int](colLen)
     val outFill = new Array[Int](nV)
     val inFill = new Array[Int](nV)
     val h2hIds = new Array[Int](h2h)
@@ -165,15 +169,43 @@ object PrunedCsr {
       val u = g.src(e); val w = g.dst(e)
       if (high(u) && high(w)) { h2hIds(h) = e; h += 1 }
       else {
-        val packedFwd = (w.toLong << 32) | (e.toLong & 0xffffffffL)
-        val packedBwd = (u.toLong << 32) | (e.toLong & 0xffffffffL)
-        if (!high(u)) { col(blockStart(u) + outFill(u)) = packedFwd; outFill(u) += 1 }
-        if (!high(w)) { col(blockStart(w) + outCnt(w) + inFill(w)) = packedBwd; inFill(w) += 1 }
+        if (!high(u)) {
+          val i = blockStart(u) + outFill(u)
+          nbr(i) = w; eid(i) = e; outFill(u) += 1
+        }
+        if (!high(w)) {
+          val i = blockStart(w) + outCnt(w) + inFill(w)
+          nbr(i) = u; eid(i) = e; inFill(w) += 1
+        }
       }
       e += 1
     }
 
-    new PrunedCsr(g, tau, high, blockStart, outCnt, inCnt,
-      outFill, inFill, col, h2hIds)
+    new PrunedCsr(g, tau, high, blockStart, outCnt, outFill, inFill, nbr, eid, h2hIds)
+  }
+
+  /** Largest column length the JVM can allocate as one array. */
+  val MaxColumnLength: Int = Int.MaxValue - 8
+
+  /** Block start of every vertex (its out-list, then its in-list) for the
+    * given per-vertex entry counts, plus the total column length as the last
+    * element. The running sum is kept in a `Long` so that an adjacency too
+    * large for one array fails here instead of wrapping.
+    */
+  private[core] def blockStarts(outCnt: Array[Int], inCnt: Array[Int]): Array[Int] = {
+    val nV = outCnt.length
+    val starts = new Array[Int](nV + 1)
+    var run = 0L
+    var v = 0
+    while (v < nV) {
+      starts(v) = run.toInt
+      run += outCnt(v).toLong + inCnt(v)
+      require(run <= MaxColumnLength,
+        s"low-degree adjacency needs more than $MaxColumnLength column entries " +
+          s"(reached $run at vertex $v); raise tau or partition a smaller graph")
+      v += 1
+    }
+    starts(nV) = run.toInt
+    starts
   }
 }

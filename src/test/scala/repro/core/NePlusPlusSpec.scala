@@ -3,17 +3,17 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.{Gen, Prop}
 import repro.{PropHelper, TestGraphs}
+import repro.baselines.NeBaseline
 
 object NePlusPlusSpec {
   /** Run the in-memory phase alone; returns the mutated state. */
-  def runPhase(g: GraphData, k: Int, tau: Option[Double],
-          removal: EdgeRemoval = EdgeRemoval.Lazy)
+  def runPhase(g: GraphData, k: Int, tau: Option[Double])
       : (Array[Int], Array[Long], Array[DenseBitset], PrunedCsr) = {
     val csr = PrunedCsr.build(g, tau)
     val pids = Array.fill(g.nE)(-1)
     val loads = new Array[Long](k)
     val replicas = Array.fill(k)(new DenseBitset(g.nV))
-    new NePlusPlus(csr, k, pids, loads, replicas, removal).run()
+    new NePlusPlus(csr, k, pids, loads, replicas, EdgeRemoval.Lazy).run()
     (pids, loads, replicas, csr)
   }
 
@@ -53,8 +53,7 @@ class NePlusPlusSpec extends AnyFunSuite with PropHelper {
 
   test("assigns every edge exactly once (eager / NE baseline mode)") {
     val g = TestGraphs.random(50, 200, seed = 3)
-    val (pids, _, _, csr) = runPhase(g, 4, None, EdgeRemoval.Eager)
-    assertInMemValid(g, 4, pids, csr)
+    Partitioners.validate(g, new NeBaseline().partition(g, 4))
   }
 
   test("loads sum to the in-memory edge count") {
@@ -122,11 +121,39 @@ class NePlusPlusSpec extends AnyFunSuite with PropHelper {
   test("NE (eager) and NE++ (lazy) reach near-identical quality on the same input") {
     val g = TestGraphs.powerLaw(300, 1500, gamma = 3.0, seed = 8)
     val k = 8
-    val (pLazy, _, _, _) = runPhase(g, k, None, EdgeRemoval.Lazy)
-    val (pEager, _, _, _) = runPhase(g, k, None, EdgeRemoval.Eager)
+    val (pLazy, _, _, _) = runPhase(g, k, None)
+    val pEager = new NeBaseline().partition(g, k).pids
     val rfL = rf(g, pLazy, k); val rfE = rf(g, pEager, k)
     assert(math.abs(rfL - rfE) / rfE < 0.1,
       s"lazy rf=$rfL vs eager rf=$rfE diverge by more than 10%")
+  }
+
+  private def engineRun(g: GraphData, k: Int, tau: Option[Double]): NePlusPlus = {
+    val engine = new NePlusPlus(PrunedCsr.build(g, tau), k, Array.fill(g.nE)(-1), new Array[Long](k),
+      Array.fill(k)(new DenseBitset(g.nV)), EdgeRemoval.Lazy)
+    engine.run()
+    engine
+  }
+
+  test("seed and spill counters: no spills on a pruned star or a path") {
+    // the star's hub is high at tau = 1, so every leaf seeds a one-edge
+    // expansion; partitions 0 and 1 take 10 leaves each, the last the rest
+    val star = engineRun(TestGraphs.star(30), 3, Some(1.0))
+    assert(star.spilledEdges == 0 && star.seedsTaken == 20)
+    for (k <- Seq(2, 3, 4)) {
+      val path = engineRun(TestGraphs.path(40), k, None)
+      assert(path.spilledEdges == 0 && path.seedsTaken == k - 1, s"path k=$k")
+    }
+  }
+
+  test("seed and spill counters: a hub seed spills its edges past the capacity bound") {
+    // unpruned, the hub seeds partition 0 and its 30 edges are assigned in
+    // one expansion step: 10 fill partition 0, the other 20 spill
+    val star = engineRun(TestGraphs.star(30), 3, None)
+    assert(star.spilledEdges == 20 && star.seedsTaken == 1)
+    // TestGraphs.powerLaw gives the hubs the lowest ids, so they seed first
+    val hubFirst = engineRun(TestGraphs.powerLaw(600, 3600, gamma = 2.5, seed = 401), 8, None)
+    assert(hubFirst.spilledEdges > 0)
   }
 
   test("k=1 assigns everything to partition 0") {

@@ -142,6 +142,18 @@ class PrunedCsrSpec extends AnyFunSuite {
     assert(hits == 3) // removal touches victim and last entry
   }
 
+  test("block offsets are summed in 64 bits and a column past the JVM array limit is rejected") {
+    val half = PrunedCsr.MaxColumnLength / 2
+    val fits = PrunedCsr.blockStarts(Array(half, 0), Array(0, PrunedCsr.MaxColumnLength - half))
+    assert(fits.toSeq == Seq(0, half, PrunedCsr.MaxColumnLength))
+    // 2 * Int.MaxValue entries would wrap to a negative Int length
+    val err = intercept[IllegalArgumentException] {
+      PrunedCsr.blockStarts(Array(Int.MaxValue, 0), Array(0, Int.MaxValue))
+    }
+    assert(err.getMessage.contains("column entries"))
+    intercept[IllegalArgumentException](PrunedCsr.blockStarts(Array(PrunedCsr.MaxColumnLength), Array(1)))
+  }
+
   test("non-positive tau is rejected") {
     intercept[IllegalArgumentException](PrunedCsr.build(TestGraphs.path(3), Some(0.0)))
   }
