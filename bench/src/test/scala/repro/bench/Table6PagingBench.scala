@@ -28,7 +28,7 @@ class Table6PagingBench extends BenchBase {
   test("produce Table 6") {
     val (rows, baseMs, csrBytes, _) = result
     println(s"\nOK-proxy CSR footprint at tau=100: $csrBytes bytes; " +
-      s"unconstrained NE++ runtime: $baseMs ms")
+      s"unconstrained HEP-100 runtime (CSR build included): $baseMs ms")
     printTable("Table 6: simulated paging of NE++ on OK-proxy, k=32",
       Seq("mem_limit_bytes", "hard_faults", "accesses", "modelled_ms") +:
         rows.map(r => Seq(r.memLimitBytes.toString, r.faults.toString,

@@ -12,7 +12,8 @@ import org.apache.spark.sql.DataFrame
   * left-hand side vertex", Section 3.2.3) even though the graph is undirected.
   * The list is expected to be simple: no self loops, each undirected edge
   * present exactly once (the generators in [[repro.SynthGraphs]] guarantee
-  * this and tests assert it).
+  * this and tests assert it). The constructor rejects self loops; duplicate
+  * edges are not checked.
   *
   * @param nV  number of vertices; ids are `[0, nV)`
   * @param src left endpoints, indexed by edge id
@@ -20,6 +21,13 @@ import org.apache.spark.sql.DataFrame
   */
 final class GraphData(val nV: Int, val src: Array[Int], val dst: Array[Int]) {
   require(src.length == dst.length, "src/dst arrays must align")
+  locally {
+    var e = 0
+    while (e < src.length) {
+      require(src(e) != dst(e), s"edge $e is a self loop (${src(e)}, ${dst(e)}); the edge list must be simple")
+      e += 1
+    }
+  }
 
   /** Number of edges. */
   val nE: Int = src.length

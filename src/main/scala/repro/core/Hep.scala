@@ -2,9 +2,9 @@ package repro.core
 
 /** Hybrid Edge Partitioner (the paper's primary contribution).
   *
-  * Pipeline (Section 3): build the pruned CSR for threshold `tau` (diverting
-  * `E_h2h` to a side buffer), run NE++ over the in-memory edges, then stream
-  * the h2h edges with HDRF scoring seeded by the NE++ state.
+  * Pipeline (Section 3): build the pruned CSR for threshold `tau` (leaving
+  * `E_h2h` out), run NE++ over the in-memory edges, then stream the h2h
+  * edges from the input edge list with HDRF scoring seeded by the NE++ state.
   *
   * `HEP-x` in the paper means `tau = x`; [[name]] follows that convention.
   *
@@ -27,16 +27,19 @@ final class Hep(
     partitionDetailed(g, k).result
 
   /** Full run, additionally exposing the CSR (pruning stats, memory model)
-    * and the per-partition replica bitsets for tests and benches.
+    * and the per-partition replica bitsets for tests and benches. A non-null
+    * `tracer` is attached to the CSR after the build, so it sees every
+    * column access of the partitioning phases (Table 6).
     */
-  def partitionDetailed(g: GraphData, k: Int): Hep.Detailed = {
+  def partitionDetailed(g: GraphData, k: Int, tracer: AccessTracer = null): Hep.Detailed = {
     val t0 = System.nanoTime()
     val csr = PrunedCsr.build(g, Some(tau))
+    csr.tracer = tracer
     val pids = Array.fill(g.nE)(-1)
     val loads = new Array[Long](k)
     val replicas = Array.fill(k)(new DenseBitset(g.nV))
     new NePlusPlus(csr, k, pids, loads, replicas, EdgeRemoval.Lazy).run()
-    new InformedStreaming(g, k, pids, loads, replicas, lambda, alphaCap).run(csr.h2hEdgeIds)
+    new InformedStreaming(g, k, pids, loads, replicas, lambda, alphaCap).run(csr)
     val ms = (System.nanoTime() - t0) / 1000000L
     Hep.Detailed(
       PartitionResult(k, pids, name, ms, Some(csr.memoryFootprintBytes(k))),

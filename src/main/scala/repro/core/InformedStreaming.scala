@@ -82,6 +82,13 @@ object HdrfScoring {
   * callers see the same state. The mask costs `|V| * ceil(k/64) * 8` bytes
   * per `run` call and is not built when there is nothing to stream.
   *
+  * HEP streams with `run(csr)`, which reads `E_h2h` from the input edge
+  * list in ascending edge-id order, so no list of h2h ids is held in
+  * memory; `run(edgeIds)` streams an explicit list. Both run the same
+  * placement loop over a buffer of edge ids: `run(csr)` gathers the h2h ids
+  * of each block of [[InformedStreaming.GatherBlock]] edges into a fixed
+  * buffer first, which keeps the scan's h2h test out of that loop.
+  *
   * @param lambda HDRF balance weight; must lie in `[1e-5, ∞)` for the
   *               candidate argmax to be exact (the paper uses `1.1`)
   */
@@ -112,22 +119,63 @@ final class InformedStreaming(
     */
   def allFullFallbacks: Long = fallbacks
 
-  /** Stream the given edge ids (HEP passes the CSR's h2h buffer). */
-  def run(edgeIds: Array[Int]): Unit = {
-    if (edgeIds.isEmpty) return
+  /** Stream the given edge ids in the given order. */
+  def run(edgeIds: Array[Int]): Unit =
+    if (edgeIds.nonEmpty) place(new Pass, edgeIds, edgeIds.length)
+
+  /** Stream the h2h edges of `csr` (both endpoints high-degree) in ascending
+    * edge-id order, read straight from the input edge list: the order, and
+    * so the result, of `run(csr.h2hEdgeIds)` without building that list.
+    */
+  def run(csr: PrunedCsr): Unit = {
+    require(csr.g eq g, "the CSR was built from a different GraphData")
+    if (csr.h2hCount > 0) {
+      val pass = new Pass
+      val high = csr.high
+      val block = new Array[Int](math.min(g.nE, InformedStreaming.GatherBlock))
+      var e = 0
+      while (e < g.nE) {
+        val end = math.min(g.nE, e + block.length)
+        var n = 0
+        while (e < end) {
+          block(n) = e // kept only if the edge is h2h; `&` leaves one branch per edge
+          if (high(g.src(e)) & high(g.dst(e))) n += 1
+          e += 1
+        }
+        place(pass, block, n)
+      }
+    }
+  }
+
+  /** State of one streaming pass, built from `loads` and `replicas` when it
+    * starts: the partition masks, `minLoad`, `maxLoad` and the partitions at
+    * `minLoad`.
+    */
+  private final class Pass {
     require(loads.forall(l => l >= 0 && l <= Int.MaxValue),
       "partition loads must lie in [0, 2^31) before streaming")
-    val deg = g.degrees
     val mask = transposeReplicas()
     val atMin = new Array[Long](words)
     var minLoad = collectMin(atMin)
     var atMinCount = popCount(atMin)
-    var maxLoad = 0L
-    for (l <- loads) if (l > maxLoad) maxLoad = l
+    var maxLoad = loads.max
+  }
+
+  /** Place edges `ids(0 until n)` in order, each on the partition the full
+    * HDRF scan would pick. The pass state is kept in locals while the loop
+    * runs and written back at the end.
+    */
+  private def place(pass: Pass, ids: Array[Int], n: Int): Unit = {
+    val deg = g.degrees
+    val mask = pass.mask
+    val atMin = pass.atMin
+    var minLoad = pass.minLoad
+    var atMinCount = pass.atMinCount
+    var maxLoad = pass.maxLoad
 
     var i = 0
-    while (i < edgeIds.length) {
-      val eid = edgeIds(i)
+    while (i < n) {
+      val eid = ids(i)
       val u = g.src(eid); val v = g.dst(eid)
       val du = deg(u).toLong; val dv = deg(v).toLong
       val uBase = u * words; val vBase = v * words
@@ -171,6 +219,9 @@ final class InformedStreaming(
       mask(vBase + (best >>> 6)) |= bit
       i += 1
     }
+    pass.minLoad = minLoad
+    pass.atMinCount = atMinCount
+    pass.maxLoad = maxLoad
   }
 
   /** Per-vertex partition masks: bit `p` of word `v * words + p / 64` is set
@@ -270,4 +321,7 @@ final class InformedStreaming(
 object InformedStreaming {
   /** Smallest HDRF balance weight for which the candidate argmax is exact. */
   val MinLambda = 1e-5
+
+  /** Edges scanned per block by `run(csr)`, and the size of its id buffer. */
+  val GatherBlock = 4096
 }

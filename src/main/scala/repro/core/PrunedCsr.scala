@@ -18,8 +18,12 @@ trait AccessTracer {
   *
   * Pruning: vertices with `d(v) > tau * meanDegree` are *high-degree*; their
   * adjacency lists are omitted entirely, and edges between two high-degree
-  * vertices are diverted into [[h2hEdgeIds]] (the paper's "external edge
-  * file" that the streaming phase consumes). `tau = None` disables pruning.
+  * vertices (`E_h2h`) are left out of the column. Like the paper's external
+  * edge file, `E_h2h` costs no partitioner memory: the build keeps only
+  * their number, [[h2hCount]], and the streaming phase reads them from the
+  * input edge list itself (`InformedStreaming.run(csr)`).
+  * [[h2hEdgeIds]] lists their ids for callers that want them explicitly; it
+  * is built on first access. `tau = None` disables pruning.
   *
   * The column is two parallel `Int` arrays: `nbr`, the paper's 4-byte
   * (b_id = 4) neighbour-id column, and `eid`, the edge id of the same entry,
@@ -35,14 +39,14 @@ trait AccessTracer {
 final class PrunedCsr private (
     val g: GraphData,
     val tau: Option[Double],
-    private val high: Array[Boolean],
+    private[core] val high: Array[Boolean],
     private[core] val blockStart: Array[Int],
     private[core] val outCap: Array[Int],
     private[core] val outSizeArr: Array[Int],
     private[core] val inSizeArr: Array[Int],
     private[core] val nbr: Array[Int],
     private[core] val eid: Array[Int],
-    val h2hEdgeIds: Array[Int],
+    val h2hCount: Int,
 ) {
 
   /** Optional column-array access tracer (Table 6 paging simulation). */
@@ -55,7 +59,26 @@ final class PrunedCsr private (
   lazy val highCount: Int = high.count(identity)
 
   /** Edges kept in memory (everything but the h2h set). */
-  def inMemEdgeCount: Int = g.nE - h2hEdgeIds.length
+  def inMemEdgeCount: Int = g.nE - h2hCount
+
+  /** Ids of the h2h edges in ascending order, collected from the input edge
+    * list on first access.
+    */
+  lazy val h2hEdgeIds: Array[Int] = collectH2h()
+
+  // The scan sits outside the lazy initializer, which runs under a lock: there
+  // the JIT left the loop uncompiled, about 170 ms per call on OK-proxy
+  // against 2 ms here.
+  private def collectH2h(): Array[Int] = {
+    val ids = new Array[Int](h2hCount)
+    var h = 0
+    var e = 0
+    while (h < ids.length) {
+      if (high(g.src(e)) && high(g.dst(e))) { ids(h) = e; h += 1 }
+      e += 1
+    }
+    ids
+  }
 
   /** Total column length (2 entries per in-memory low/low edge, one per
     * low/high edge).
@@ -127,9 +150,9 @@ final class PrunedCsr private (
 object PrunedCsr {
 
   /** Two-pass CSR build (Section 4.1 "Graph Building"): pass 1 computes
-    * degrees (already cached on [[GraphData]]) and the index arrays; pass 2
-    * inserts each edge into the column array, or into the h2h buffer when
-    * both endpoints are high-degree.
+    * degrees (already cached on [[GraphData]]), the index arrays and the h2h
+    * count; pass 2 inserts each edge with a low-degree endpoint into the
+    * column array and skips the h2h edges.
     */
   def build(g: GraphData, tau: Option[Double]): PrunedCsr = {
     val nV = g.nV
@@ -162,26 +185,21 @@ object PrunedCsr {
     val eid = new Array[Int](colLen)
     val outFill = new Array[Int](nV)
     val inFill = new Array[Int](nV)
-    val h2hIds = new Array[Int](h2h)
-    var h = 0
     e = 0
     while (e < g.nE) {
       val u = g.src(e); val w = g.dst(e)
-      if (high(u) && high(w)) { h2hIds(h) = e; h += 1 }
-      else {
-        if (!high(u)) {
-          val i = blockStart(u) + outFill(u)
-          nbr(i) = w; eid(i) = e; outFill(u) += 1
-        }
-        if (!high(w)) {
-          val i = blockStart(w) + outCnt(w) + inFill(w)
-          nbr(i) = u; eid(i) = e; inFill(w) += 1
-        }
+      if (!high(u)) {
+        val i = blockStart(u) + outFill(u)
+        nbr(i) = w; eid(i) = e; outFill(u) += 1
+      }
+      if (!high(w)) {
+        val i = blockStart(w) + outCnt(w) + inFill(w)
+        nbr(i) = u; eid(i) = e; inFill(w) += 1
       }
       e += 1
     }
 
-    new PrunedCsr(g, tau, high, blockStart, outCnt, outFill, inFill, nbr, eid, h2hIds)
+    new PrunedCsr(g, tau, high, blockStart, outCnt, outFill, inFill, nbr, eid, h2h)
   }
 
   /** Largest column length the JVM can allocate as one array. */

@@ -115,39 +115,24 @@ object TableHarness {
   final case class T6Row(memLimitBytes: Long, faults: Long, accesses: Long,
                          modelledMs: Long)
 
-  /** Run HEP's in-memory phase (τ = `tau`) with the column array behind a
-    * simulated LRU-paged resident set, one run per memory limit. Also
-    * returns the unconstrained runtime (first element: limit = Long.MaxValue,
-    * zero-fault baseline).
+  /** Run HEP (τ = `tau`) with the column array behind a simulated
+    * LRU-paged resident set, one run per memory limit. Also returns the
+    * unconstrained runtime (an untraced run). Times are those of the whole
+    * `Hep.partitionDetailed` call, CSR build included.
     */
   def table6(sg: SynthGraph, k: Int, tau: Double,
              memLimits: Seq[Long]): (Seq[T6Row], Long) = {
     val g = GraphData.fromDF(sg.df, sg.nV)
-
-    def runOnce(tracer: PagingSimulator): Long = {
-      val csr = PrunedCsr.build(g, Some(tau))
-      if (tracer ne null) csr.tracer = tracer
-      val pids = Array.fill(g.nE)(-1)
-      val loads = new Array[Long](k)
-      val replicas = Array.fill(k)(new DenseBitset(g.nV))
-      val t0 = System.nanoTime()
-      new NePlusPlus(csr, k, pids, loads, replicas, EdgeRemoval.Lazy).run()
-      new InformedStreaming(g, k, pids, loads, replicas).run(csr.h2hEdgeIds)
-      (System.nanoTime() - t0) / 1000000L
-    }
-
-    val baselineMs = runOnce(null)
-    val fixedBytes = {
-      val csr = PrunedCsr.build(g, Some(tau))
-      csr.memoryFootprintBytes(k) - csr.colLength.toLong * 4L
-    }
+    val hep = new Hep(tau)
+    val baseline = hep.partitionDetailed(g, k)
+    val fixedBytes = baseline.csr.memoryFootprintBytes(k) - baseline.csr.colLength.toLong * 4L
     val rows = memLimits.map { limit =>
       val sim = new PagingSimulator(PagingSimulator.residentPagesFor(limit, fixedBytes))
-      val measured = runOnce(sim)
+      val measured = hep.partitionDetailed(g, k, sim).result.buildMillis
       T6Row(limit, sim.faults, sim.accesses,
         PagingSimulator.modelledRuntimeMs(measured, sim.faults))
     }
-    (rows, baselineMs)
+    (rows, baseline.result.buildMillis)
   }
 
   // -- formatting ------------------------------------------------------------

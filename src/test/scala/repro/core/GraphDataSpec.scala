@@ -67,4 +67,11 @@ class GraphDataSpec extends SparkSpec {
   test("misaligned src/dst arrays are rejected") {
     intercept[IllegalArgumentException](new GraphData(3, Array(0, 1), Array(1)))
   }
+
+  test("a self loop is rejected with a message naming the edge") {
+    val edges = Seq((0, 1), (1, 2), (2, 3), (3, 3), (3, 4), (4, 0))
+    val err = intercept[IllegalArgumentException](GraphData.fromEdges(5, edges))
+    assert(err.getMessage.contains("edge 3 is a self loop (3, 3)"), err.getMessage)
+    assert(GraphData.fromEdges(5, edges.filter { case (u, v) => u != v }).nE == 5)
+  }
 }

@@ -8,6 +8,8 @@ import scala.util.Random
   * These tests hold it to the full-scan HDRF loop it replaced: identical
   * `pids`, `loads` and replica sets on a grid of graphs, `k` (including
   * partial 64-bit mask words), `tau`, `alpha`, cold and NE++-seeded state.
+  * NE++-seeded streams also run through `run(csr)`, which reads the h2h
+  * edges from the edge list instead of an explicit id list.
   */
 class InformedStreamingEquivalenceSpec extends AnyFunSuite {
 
@@ -53,15 +55,34 @@ class InformedStreamingEquivalenceSpec extends AnyFunSuite {
     fallbacks
   }
 
-  /** Stream `edgeIds` from `start` with both engines; assert identical results. */
+  /** Stream `edgeIds` from `start` with both engines; assert identical results.
+    * Given the `csr` whose h2h edges `edgeIds` are, also assert that
+    * `run(csr)` reproduces the explicit-list run.
+    */
   private def assertSame(g: GraphData, k: Int, start: State, edgeIds: Array[Int], label: String,
                          lambda: Double = HdrfScoring.DefaultLambda,
-                         alphaCap: Double = 1.05): Long = {
+                         alphaCap: Double = 1.05,
+                         csr: PrunedCsr = null): Long = {
     val expected = start.deepCopy()
     val expectedFallbacks = fullScan(g, k, expected, lambda, alphaCap, edgeIds)
     val actual = start.deepCopy()
     val engine = new InformedStreaming(g, k, actual.pids, actual.loads, actual.replicas, lambda, alphaCap)
     engine.run(edgeIds)
+    assertSameState(k, actual, expected, label)
+    assert(engine.allFullFallbacks == expectedFallbacks, s"fallback count differs: $label")
+    if (csr ne null) {
+      val streamed = start.deepCopy()
+      val fromCsr = new InformedStreaming(g, k, streamed.pids, streamed.loads, streamed.replicas,
+        lambda, alphaCap)
+      fromCsr.run(csr)
+      assertSameState(k, streamed, actual, s"run(csr) vs run(csr.h2hEdgeIds): $label")
+      assert(fromCsr.allFullFallbacks == engine.allFullFallbacks,
+        s"fallback count differs: run(csr) vs run(csr.h2hEdgeIds): $label")
+    }
+    expectedFallbacks
+  }
+
+  private def assertSameState(k: Int, actual: State, expected: State, label: String): Unit = {
     assert(actual.pids.sameElements(expected.pids), s"pids differ: $label")
     assert(actual.loads.sameElements(expected.loads), s"loads differ: $label")
     (0 until k).foreach { p =>
@@ -70,8 +91,6 @@ class InformedStreamingEquivalenceSpec extends AnyFunSuite {
       assert((0 until a.wordCount).forall(w => a.word(w) == e.word(w)),
         s"replica set of partition $p differs: $label")
     }
-    assert(engine.allFullFallbacks == expectedFallbacks, s"fallback count differs: $label")
-    expectedFallbacks
   }
 
   private val graphs = Seq(
@@ -79,7 +98,8 @@ class InformedStreamingEquivalenceSpec extends AnyFunSuite {
     "random" -> TestGraphs.random(200, 1200, seed = 302),
   )
   private val ks = Seq(1, 2, 3, 7, 32, 64, 65, 130)
-  private val taus = Seq(0.3, 1.0, 3.0)
+  // 1e-3 makes every edge h2h; 1e3 leaves none, so nothing is streamed
+  private val taus = Seq(1e-3, 0.3, 1.0, 3.0, 1e3)
   private val alphas = Seq(1.0, 1.05, 1.5)
 
   test("cold streams match the full scan on every (graph, k, alpha)") {
@@ -89,14 +109,30 @@ class InformedStreamingEquivalenceSpec extends AnyFunSuite {
     }
   }
 
+  // run(csr) gathers h2h ids block by block; this graph spans several blocks
+  private val multiBlock = "multi-block" -> TestGraphs.powerLaw(3000, 13000, gamma = 2.5, seed = 309)
+
   test("NE++-seeded streams match the full scan on every (graph, k, tau, alpha)") {
-    for ((name, g) <- graphs; k <- ks; tau <- taus; alpha <- alphas) {
+    assert(multiBlock._2.nE > 2 * InformedStreaming.GatherBlock)
+    for ((name, g) <- graphs :+ multiBlock; k <- ks; tau <- taus; alpha <- alphas) {
       val csr = PrunedCsr.build(g, Some(tau))
+      if (tau == taus.head) assert(csr.h2hCount == g.nE, s"$name: tau=$tau must make every edge h2h")
+      if (tau == taus.last) assert(csr.h2hCount == 0, s"$name: tau=$tau must leave no h2h edge")
       val seeded = empty(g, k)
       new NePlusPlus(csr, k, seeded.pids, seeded.loads, seeded.replicas, EdgeRemoval.Lazy).run()
       assertSame(g, k, seeded, csr.h2hEdgeIds, s"seeded $name k=$k tau=$tau alpha=$alpha",
-        alphaCap = alpha)
+        alphaCap = alpha, csr = csr)
     }
+  }
+
+  test("run(csr) rejects a CSR built from a different GraphData") {
+    val g = TestGraphs.random(10, 20, seed = 308)
+    val copy = new GraphData(g.nV, g.src.clone(), g.dst.clone())
+    val s = empty(g, 2)
+    val engine = new InformedStreaming(g, 2, s.pids, s.loads, s.replicas)
+    val err = intercept[IllegalArgumentException](engine.run(PrunedCsr.build(copy, Some(0.5))))
+    assert(err.getMessage.contains("different GraphData"))
+    assert(s.pids.forall(_ < 0) && s.loads.forall(_ == 0L))
   }
 
   test("random preset state with many load ties matches the full scan, across lambda") {

@@ -33,6 +33,21 @@ class PrunedCsrSpec extends AnyFunSuite {
     assert(csr.inMemEdgeCount == 10)
   }
 
+  test("the build counts h2h edges and lists their ids on demand, ascending") {
+    val fig = PrunedCsr.build(TestGraphs.figure4, Some(1.5))
+    assert(fig.h2hCount == 1 && fig.inMemEdgeCount == TestGraphs.figure4.nE - 1)
+    assert(fig.h2hEdgeIds.toSeq == Seq(0)) // edge 0 is (4, 5), both high
+    val g = TestGraphs.powerLaw(300, 1500, gamma = 2.5, seed = 4)
+    for (tau <- Seq(0.3, 1.0, 3.0)) {
+      val csr = PrunedCsr.build(g, Some(tau))
+      val ids = csr.h2hEdgeIds
+      assert(csr.h2hCount > 0 && ids.length == csr.h2hCount, s"tau=$tau")
+      assert(csr.inMemEdgeCount == g.nE - csr.h2hCount, s"tau=$tau")
+      assert(ids.toSeq == (0 until g.nE).filter(e => csr.isHigh(g.src(e)) && csr.isHigh(g.dst(e))),
+        s"tau=$tau: not the ascending h2h edge ids")
+    }
+  }
+
   test("unpruned build keeps every edge in memory") {
     val g = TestGraphs.figure4
     val csr = PrunedCsr.build(g, None)
