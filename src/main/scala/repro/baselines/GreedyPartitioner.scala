@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{DenseBitset, EdgePartitioner, GraphData, PartitionResult}
+import repro.core.{DenseBitset, EdgePartitioner, GraphData, PartitionResult, Partitioners}
 
 /** PowerGraph's Greedy vertex-cut heuristic (Gonzalez et al., OSDI'12),
   * Table 1's `Θ(|E| * k)` stateful streaming row. Case analysis per edge
@@ -10,9 +10,10 @@ import repro.core.{DenseBitset, EdgePartitioner, GraphData, PartitionResult}
   *  3. neither has replicas → globally least-loaded partition.
   * (The published rule distinguishes a fourth case — both replicated but
   * disjointly — which also resolves to the union's least-loaded partition,
-  * as implemented here.)
+  * as implemented here.) Partitions at capacity ([[Partitioners.capacity]])
+  * are skipped.
   */
-final class GreedyPartitioner(alphaCap: Double = 1.05) extends EdgePartitioner {
+final class GreedyPartitioner extends EdgePartitioner {
 
   override def name: String = "Greedy"
 
@@ -21,7 +22,7 @@ final class GreedyPartitioner(alphaCap: Double = 1.05) extends EdgePartitioner {
     val pids = new Array[Int](g.nE)
     val loads = new Array[Long](k)
     val replicas = Array.fill(k)(new DenseBitset(g.nV))
-    val capacity = math.ceil(alphaCap * g.nE / k.toDouble).toLong
+    val capacity = Partitioners.capacity(g, k)
 
     var e = 0
     while (e < g.nE) {

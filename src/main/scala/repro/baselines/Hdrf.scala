@@ -7,13 +7,10 @@ import repro.core._
   * incremented as edges arrive, which is exactly the cold-start ("uninformed
   * assignment") handicap HEP's informed streaming phase removes.
   *
-  * Uses the author-recommended `λ = 1.1` (paper Appendix A) and the
-  * balancing constraint `alphaCap` as a hard candidate filter.
+  * Uses the author-recommended `λ = 1.1` ([[HdrfScoring.Lambda]]) and the
+  * balancing constraint [[Partitioners.capacity]] as a hard candidate filter.
   */
-final class Hdrf(
-    lambda: Double = HdrfScoring.DefaultLambda,
-    alphaCap: Double = 1.05,
-) extends EdgePartitioner {
+final class Hdrf extends EdgePartitioner {
 
   override def name: String = "HDRF"
 
@@ -23,7 +20,7 @@ final class Hdrf(
     val loads = new Array[Long](k)
     val replicas = Array.fill(k)(new DenseBitset(g.nV))
     val partialDeg = new Array[Long](g.nV)
-    val capacity = math.ceil(alphaCap * g.nE / k.toDouble).toLong
+    val capacity = Partitioners.capacity(g, k)
 
     var e = 0
     while (e < g.nE) {
@@ -43,7 +40,7 @@ final class Hdrf(
         if (loads(p) < capacity) {
           val s = HdrfScoring.score(partialDeg(u), partialDeg(v),
             replicas(p).get(u), replicas(p).get(v),
-            loads(p), minLoad, maxLoad, lambda)
+            loads(p), minLoad, maxLoad)
           if (s > bestScore) { bestScore = s; best = p }
         }
         p += 1

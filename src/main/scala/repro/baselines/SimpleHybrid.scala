@@ -9,16 +9,13 @@ import repro.core._
   * HEP's wins over this baseline isolate the value of NE++ (runtime/memory)
   * and of informed HDRF streaming (quality).
   */
-final class SimpleHybrid(val tau: Double, alphaCap: Double = 1.05, seed: Int = 42)
-    extends EdgePartitioner {
+final class SimpleHybrid(val tau: Double) extends EdgePartitioner {
 
   override def name: String = s"SimpleHybrid-${if (tau == tau.floor) tau.toLong else tau}"
 
   override def partition(g: GraphData, k: Int): PartitionResult = {
     val t0 = System.nanoTime()
-    val deg = g.degrees
-    val threshold = tau * g.meanDegree
-    val isHigh = Array.tabulate(g.nV)(v => deg(v) > threshold)
+    val isHigh = g.highDegree(tau)
 
     // split the edge list
     val restIds = new scala.collection.mutable.ArrayBuffer[Int]()
@@ -46,17 +43,8 @@ final class SimpleHybrid(val tau: Double, alphaCap: Double = 1.05, seed: Int = 4
     }
 
     // G_H2H via random streaming, honouring the overall balance bound
-    val capacity = math.ceil(alphaCap * g.nE / k.toDouble).toLong
-    var i = 0
-    while (i < h2hIds.length) {
-      val eid = h2hIds(i)
-      var p = Dbh.mix(eid ^ seed) % k
-      var probes = 0
-      while (loads(p) >= capacity && probes < k) { p = (p + 1) % k; probes += 1 }
-      pids(eid) = p
-      loads(p) += 1
-      i += 1
-    }
+    val capacity = Partitioners.capacity(g, k)
+    h2hIds.foreach(RandomStreaming.place(_, pids, loads, capacity))
 
     val ms = (System.nanoTime() - t0) / 1000000L
     PartitionResult(k, pids, name, ms)

@@ -6,21 +6,21 @@ import scala.collection.mutable
 
 /** Streaming NE (Zhang et al., KDD'17, §"SNE"): neighbourhood expansion run
   * over a bounded in-memory *sample* of the edge stream instead of the whole
-  * graph. The buffer holds at most `sampleSize * ⌈|E|/k⌉` edges (the paper's
-  * recommended sample size is 2, Appendix A); one partition at a time is
-  * carved out of the buffered sub-graph with the NE heuristic, the buffer is
-  * refilled from the stream, and the tail (buffer + unread stream) lands in
-  * the last partition. The restricted visibility is what degrades SNE's
-  * quality relative to NE — exactly the behaviour Table 4 / Figure 8 report.
+  * graph. The buffer holds at most `SampleSize * ⌈|E|/k⌉` edges, with the
+  * paper's recommended sample size of 2 (Appendix A); one partition at a
+  * time is carved out of the buffered sub-graph with the NE heuristic, the
+  * buffer is refilled from the stream, and the tail (buffer + unread stream)
+  * lands in the last partition. The restricted visibility is what degrades
+  * SNE's quality relative to NE — exactly the behaviour Table 4 / Figure 8
+  * report.
   */
-final class Sne(sampleSize: Int = 2) extends EdgePartitioner {
-  require(sampleSize >= 1, s"sample size must be >= 1, got $sampleSize")
+final class Sne extends EdgePartitioner {
 
   override def name: String = "SNE"
 
   override def partition(g: GraphData, k: Int): PartitionResult = {
     val t0 = System.nanoTime()
-    val run = new Sne.Run(g, k, sampleSize)
+    val run = new Sne.Run(g, k)
     val pids = run.execute()
     val ms = (System.nanoTime() - t0) / 1000000L
     PartitionResult(k, pids, name, ms)
@@ -29,12 +29,15 @@ final class Sne(sampleSize: Int = 2) extends EdgePartitioner {
 
 object Sne {
 
+  /** Buffer size in units of the partition capacity `⌈|E|/k⌉`. */
+  final val SampleSize = 2
+
   /** One partitioning run; holds the buffered sub-graph as mutable adjacency
     * lists of packed `(neighbour, edgeId)` entries.
     */
-  private final class Run(g: GraphData, k: Int, sampleSize: Int) {
+  private final class Run(g: GraphData, k: Int) {
     private val capacity: Long = (g.nE.toLong + k - 1) / k
-    private val bufferCap: Long = sampleSize * capacity
+    private val bufferCap: Long = SampleSize * capacity
     private val adj = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Long]]
     private val pids = Array.fill(g.nE)(-1)
     private val loads = new Array[Long](k)

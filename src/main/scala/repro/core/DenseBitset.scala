@@ -50,7 +50,4 @@ final class DenseBitset(val n: Int) {
 
   /** Clear all bits. */
   def clearAll(): Unit = java.util.Arrays.fill(words, 0L)
-
-  /** Byte footprint per the paper's memory model (`n / 8`, rounded up). */
-  def footprintBytes: Long = words.length.toLong * 8L
 }

@@ -12,19 +12,23 @@ import org.apache.spark.sql.DataFrame
   * left-hand side vertex", Section 3.2.3) even though the graph is undirected.
   * The list is expected to be simple: no self loops, each undirected edge
   * present exactly once (the generators in [[repro.SynthGraphs]] guarantee
-  * this and tests assert it). The constructor rejects self loops; duplicate
-  * edges are not checked.
+  * this and tests assert it). The constructor rejects ids outside `[0, nV)`
+  * and self loops; duplicate edges are not checked.
   *
   * @param nV  number of vertices; ids are `[0, nV)`
   * @param src left endpoints, indexed by edge id
   * @param dst right endpoints, indexed by edge id
   */
 final class GraphData(val nV: Int, val src: Array[Int], val dst: Array[Int]) {
+  require(nV >= 0, s"vertex count must be non-negative, got $nV")
   require(src.length == dst.length, "src/dst arrays must align")
   locally {
     var e = 0
     while (e < src.length) {
-      require(src(e) != dst(e), s"edge $e is a self loop (${src(e)}, ${dst(e)}); the edge list must be simple")
+      val u = src(e); val v = dst(e)
+      require(u >= 0 && u < nV && v >= 0 && v < nV,
+        s"edge $e ($u, $v) has an endpoint outside the vertex range [0, $nV)")
+      require(u != v, s"edge $e is a self loop ($u, $v); the edge list must be simple")
       e += 1
     }
   }
@@ -43,6 +47,18 @@ final class GraphData(val nV: Int, val src: Array[Int], val dst: Array[Int]) {
   /** Mean degree `2|E| / |V|` (the paper's `∅_d`). */
   def meanDegree: Double = if (nV == 0) 0.0 else 2.0 * nE / nV
 
+  /** The paper's high-degree rule for threshold factor `tau`: entry `v` is
+    * true iff `d(v) > tau * meanDegree`.
+    */
+  def highDegree(tau: Double): Array[Boolean] = {
+    val d = degrees
+    val threshold = tau * meanDegree
+    val high = new Array[Boolean](nV)
+    var v = 0
+    while (v < nV) { high(v) = d(v) > threshold; v += 1 }
+    high
+  }
+
   /** Size of the graph as a binary edge list with 32-bit ids (Table 3's
     * "Size" column): 8 bytes per edge.
     */
@@ -53,7 +69,7 @@ object GraphData {
 
   /** Collect a two-column (`src`, `dst`) DataFrame of integral ids into a
     * driver-side [[GraphData]]. Vertex ids must already be dense in
-    * `[0, nV)`; violations fail fast.
+    * `[0, nV)`; the constructor rejects any outside that range.
     */
   def fromDF(df: DataFrame, nV: Int): GraphData = {
     val rows = df.select("src", "dst").collect()
@@ -63,8 +79,6 @@ object GraphData {
     while (i < rows.length) {
       val r = rows(i)
       s(i) = asInt(r.get(0)); d(i) = asInt(r.get(1))
-      require(s(i) >= 0 && s(i) < nV && d(i) >= 0 && d(i) < nV,
-        s"edge (${s(i)},${d(i)}) outside vertex range [0,$nV)")
       i += 1
     }
     new GraphData(nV, s, d)

@@ -8,15 +8,9 @@ package repro.core
   *
   * `HEP-x` in the paper means `tau = x`; [[name]] follows that convention.
   *
-  * @param tau      degree threshold factor: `d(v) > tau * meanDegree` ⇒ high
-  * @param lambda   HDRF balance weight for the streaming phase
-  * @param alphaCap balancing constraint `alpha` for the streaming phase
+  * @param tau degree threshold factor: `d(v) > tau * meanDegree` ⇒ high
   */
-final class Hep(
-    val tau: Double,
-    lambda: Double = HdrfScoring.DefaultLambda,
-    alphaCap: Double = 1.05,
-) extends EdgePartitioner {
+final class Hep(val tau: Double) extends EdgePartitioner {
 
   override def name: String = {
     val t = if (tau == tau.floor && tau < 1e6) tau.toLong.toString else tau.toString
@@ -39,7 +33,7 @@ final class Hep(
     val loads = new Array[Long](k)
     val replicas = Array.fill(k)(new DenseBitset(g.nV))
     new NePlusPlus(csr, k, pids, loads, replicas, EdgeRemoval.Lazy).run()
-    new InformedStreaming(g, k, pids, loads, replicas, lambda, alphaCap).run(csr)
+    new InformedStreaming(g, k, pids, loads, replicas).run(csr)
     val ms = (System.nanoTime() - t0) / 1000000L
     Hep.Detailed(
       PartitionResult(k, pids, name, ms, Some(csr.memoryFootprintBytes(k))),

@@ -1,7 +1,7 @@
 package repro.core
 
 /** Binary min-heap over vertex ids keyed by external degree, with an id →
-  * heap-position lookup table for O(log n) `decrease` / `remove` by vertex id.
+  * heap-position lookup table for O(log n) `decrease` by vertex id.
   *
   * This is the "min heap to store the external degrees of vertices in S_i and
   * a lookup table to directly access the entry of a vertex in the min heap by
@@ -17,17 +17,8 @@ final class IndexedMinHeap(val capacity: Int) {
   java.util.Arrays.fill(posOf, -1)
   private var count = 0
 
-  def size: Int = count
-  def isEmpty: Boolean = count == 0
   def nonEmpty: Boolean = count > 0
   def contains(v: Int): Boolean = posOf(v) >= 0
-
-  /** Current key of `v`; requires `contains(v)`. */
-  def keyOf(v: Int): Int = {
-    val p = posOf(v)
-    require(p >= 0, s"vertex $v not in heap")
-    keys(p)
-  }
 
   /** Insert vertex `v` with key `key`; `v` must not already be present. */
   def insert(v: Int, key: Int): Unit = {
@@ -37,11 +28,11 @@ final class IndexedMinHeap(val capacity: Int) {
     siftUp(count - 1)
   }
 
-  /** Decrease the key of `v` by `delta` (default 1). */
-  def decrease(v: Int, delta: Int = 1): Unit = {
+  /** Decrease the key of `v` by one. */
+  def decrease(v: Int): Unit = {
     val p = posOf(v)
     require(p >= 0, s"vertex $v not in heap")
-    keys(p) -= delta
+    keys(p) -= 1
     siftUp(p)
   }
 
@@ -51,13 +42,6 @@ final class IndexedMinHeap(val capacity: Int) {
     val top = heapIds(0)
     removeAt(0)
     top
-  }
-
-  /** Remove vertex `v` if present; returns true when it was present. */
-  def remove(v: Int): Boolean = {
-    val p = posOf(v)
-    if (p < 0) false
-    else { removeAt(p); true }
   }
 
   /** Drop every entry (used between partition expansions). */

@@ -8,23 +8,24 @@ package repro.core
   *    replicated on p else 0, `θ(u) = d(u) / (d(u) + d(v))`;
   *  - `C_BAL = λ * (maxLoad - load(p)) / (ε + maxLoad - minLoad)`.
   *
-  * The paper's recommended `λ = 1.1` is the default everywhere.
+  * `λ` is fixed at [[Lambda]], the authors' recommended value (paper
+  * Appendix A).
   */
 object HdrfScoring {
-  val DefaultLambda = 1.1
+  /** The HDRF balance weight `λ`. */
+  final val Lambda = 1.1
   private val Eps = 1e-3
 
   def score(
       degU: Long, degV: Long,
       replicatedU: Boolean, replicatedV: Boolean,
       load: Long, minLoad: Long, maxLoad: Long,
-      lambda: Double,
   ): Double = {
     val thetaU = if (degU + degV == 0) 0.5 else degU.toDouble / (degU + degV)
     val thetaV = 1.0 - thetaU
     val gU = if (replicatedU) 1.0 + (1.0 - thetaU) else 0.0
     val gV = if (replicatedV) 1.0 + (1.0 - thetaV) else 0.0
-    val bal = lambda * (maxLoad - load).toDouble / (Eps + (maxLoad - minLoad).toDouble)
+    val bal = Lambda * (maxLoad - load).toDouble / (Eps + (maxLoad - minLoad).toDouble)
     gU + gV + bal
   }
 }
@@ -36,8 +37,9 @@ object HdrfScoring {
   * "uninformed assignment problem" of cold-started streaming partitioners.
   *
   * Mutates `pids`, `loads`, `replicas` in place, honouring the balancing
-  * constraint `|p_i| <= ceil(alphaCap * |E| / k)` (candidates at capacity are
-  * skipped; if every partition is full the least-loaded one is used).
+  * constraint `|p_i| <= ceil(α * |E| / k)` ([[Partitioners.capacity]];
+  * candidates at capacity are skipped; if every partition is full the
+  * least-loaded one is used).
   *
   * '''Exact candidate argmax.''' Each edge goes to the partition HDRF would
   * pick by scoring all `k` partitions and taking the first maximum, but at
@@ -53,11 +55,11 @@ object HdrfScoring {
   *  - ''Strict monotonicity.'' Loads are integers below `2^32` (`run`
   *    requires them below `2^31` on entry and adds one per edge), so
   *    `maxLoad - load` is exact in a double and every rounding step is
-  *    monotone. Two loads differ by at least `λ / (ε + maxLoad - minLoad) >=
-  *    λ * 2^-32` in the balance term, far above the rounding error of
-  *    `c + bal <= 3 + λ` once `λ >= 1e-5`. So within a class the score falls
-  *    strictly with load, and the class's best members are exactly its
-  *    least-loaded non-full ones.
+  *    monotone. With `λ = 1.1`, two loads differ by at least
+  *    `λ / (ε + maxLoad - minLoad) >= 1.1 * 2^-32` in the balance term, far
+  *    above the rounding error of `c + bal <= 4.1`. So within a class the
+  *    score falls strictly with load, and the class's best members are
+  *    exactly its least-loaded non-full ones.
   *  - ''Tie-break.'' Of those the full scan keeps the lowest `p`, and so
   *    does the class search. Comparing the (at most four) class winners by
   *    score, then by lower `p`, reproduces the full scan's first maximum bit
@@ -65,7 +67,7 @@ object HdrfScoring {
   *
   * Classes are searched in falling order of `c`. A class whose score at
   * `minLoad`, its best possible, is already below the best score found is
-  * skipped; with the default `λ` that rules out the "neither" class
+  * skipped; with `λ = 1.1` that rules out the "neither" class
   * whenever a partition holding both endpoints has room.
   *
   * To find a class winner cheaply, `run` transposes the replica bitsets
@@ -88,9 +90,6 @@ object HdrfScoring {
   * placement loop over a buffer of edge ids: `run(csr)` gathers the h2h ids
   * of each block of [[InformedStreaming.GatherBlock]] edges into a fixed
   * buffer first, which keeps the scan's h2h test out of that loop.
-  *
-  * @param lambda HDRF balance weight; must lie in `[1e-5, ∞)` for the
-  *               candidate argmax to be exact (the paper uses `1.1`)
   */
 final class InformedStreaming(
     g: GraphData,
@@ -98,16 +97,12 @@ final class InformedStreaming(
     pids: Array[Int],
     loads: Array[Long],
     replicas: Array[DenseBitset],
-    lambda: Double = HdrfScoring.DefaultLambda,
-    alphaCap: Double = 1.05,
 ) {
-  require(k >= 1 && alphaCap >= 1.0, s"invalid k=$k / alphaCap=$alphaCap")
-  require(lambda >= InformedStreaming.MinLambda && lambda < Double.PositiveInfinity,
-    s"lambda must be finite and >= ${InformedStreaming.MinLambda}, got $lambda")
+  require(k >= 1, s"k must be >= 1, got $k")
   require(loads.length == k && replicas.length == k && replicas.forall(_.n == g.nV),
     s"need $k loads and $k replica bitsets over [0, ${g.nV})")
 
-  private val capacity: Long = math.ceil(alphaCap * g.nE / k.toDouble).toLong
+  private val capacity: Long = Partitioners.capacity(g, k)
   private val words = (k + 63) >>> 6
 
   private val lastWord = if ((k & 63) == 0) -1L else (1L << (k & 63)) - 1L
@@ -192,10 +187,10 @@ final class InformedStreaming(
         while (c >= 0) {
           val inU = (c & 1) != 0; val inV = (c & 2) != 0
           if (best < 0 ||
-              HdrfScoring.score(du, dv, inU, inV, minLoad, minLoad, maxLoad, lambda) >= bestScore) {
+              HdrfScoring.score(du, dv, inU, inV, minLoad, minLoad, maxLoad) >= bestScore) {
             val p = classWinner(c, mask, uBase, vBase, atMin)
             if (p >= 0) {
-              val s = HdrfScoring.score(du, dv, inU, inV, loads(p), minLoad, maxLoad, lambda)
+              val s = HdrfScoring.score(du, dv, inU, inV, loads(p), minLoad, maxLoad)
               if (s > bestScore || (s == bestScore && p < best)) { bestScore = s; best = p }
             }
           }
@@ -319,9 +314,6 @@ final class InformedStreaming(
 }
 
 object InformedStreaming {
-  /** Smallest HDRF balance weight for which the candidate argmax is exact. */
-  val MinLambda = 1e-5
-
   /** Edges scanned per block by `run(csr)`, and the size of its id buffer. */
   val GatherBlock = 4096
 }

@@ -9,7 +9,8 @@ import org.apache.spark.sql.functions._
   * Definitions (Section 2 / Table 5 of the paper):
   *  - replication factor `RF = (1/|V|) Σ_i |V(p_i)|`, where `V(p_i)` is the
   *    set of vertices covered by the edges of partition `p_i`;
-  *  - edge balance `alpha = k * max_i |p_i| / |E|`;
+  *  - edge balance `alpha = k * max_i |p_i| / |E|`, driver-side in
+  *    [[Partitioners.alpha]];
   *  - vertex balance = std-deviation / average of `|V(p_i)|` over i.
   */
 object Metrics {
@@ -56,7 +57,4 @@ object Metrics {
     if (avg == 0.0) 0.0
     else math.sqrt(c.map(x => (x - avg) * (x - avg)).sum / k) / avg
   }
-
-  /** Achieved balancing factor (driver-side; trivial arithmetic). */
-  def edgeBalance(res: PartitionResult): Double = Partitioners.alpha(res)
 }

@@ -21,8 +21,7 @@ final case class PartitionResult(
 )
 
 /** Common interface of every edge partitioner in this repo (HEP and all
-  * baselines). Implementations are deterministic given `(g, k)` unless they
-  * take an explicit seed.
+  * baselines). Implementations are deterministic given `(g, k)`.
   */
 trait EdgePartitioner {
   def name: String
@@ -32,6 +31,14 @@ trait EdgePartitioner {
 }
 
 object Partitioners {
+
+  /** The balancing constraint `α` of every capacity-bounded partitioner
+    * (the paper's `α = 1.05`, Appendix A).
+    */
+  final val Alpha = 1.05
+
+  /** Edge capacity of one of `k` partitions, `ceil(α * |E| / k)`. */
+  def capacity(g: GraphData, k: Int): Long = math.ceil(Alpha * g.nE / k.toDouble).toLong
 
   /** Validity check used by every test: each edge assigned exactly once to a
     * partition in `[0, k)`. Throws with a diagnostic on violation.

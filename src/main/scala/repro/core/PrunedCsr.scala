@@ -156,13 +156,11 @@ object PrunedCsr {
     */
   def build(g: GraphData, tau: Option[Double]): PrunedCsr = {
     val nV = g.nV
-    val d = g.degrees
-    val mean = g.meanDegree
-    val high = new Array[Boolean](nV)
-    tau.foreach { t =>
-      require(t > 0, s"tau must be positive, got $t")
-      var v = 0
-      while (v < nV) { high(v) = d(v) > t * mean; v += 1 }
+    val high = tau match {
+      case Some(t) =>
+        require(t > 0, s"tau must be positive, got $t")
+        g.highDegree(t)
+      case None => new Array[Boolean](nV)
     }
 
     val outCnt = new Array[Int](nV)

@@ -57,10 +57,6 @@ class NeSneSpec extends AnyFunSuite with PropHelper {
     assert(rfSne <= rfRnd + 1e-9, s"SNE $rfSne should not be worse than random $rfRnd")
   }
 
-  test("SNE buffer bound: invalid sample size is rejected") {
-    intercept[IllegalArgumentException](new Sne(0))
-  }
-
   test("property: NE and SNE are valid on arbitrary graphs") {
     val gen = for {
       nV <- Gen.choose(8, 60)

@@ -80,11 +80,11 @@ class StreamingBaselinesSpec extends AnyFunSuite with PropHelper {
   test("Greedy: an isolated edge pair is colocated") {
     // edges (0,1) then (1,2): vertex 1 already has a replica, so the second
     // edge must land on the same partition (case 2 of the heuristic).
-    // alphaCap is relaxed because any cap below 2 edges/partition would
-    // forbid colocation on a two-edge graph — a capacity artifact, not the
-    // heuristic (cap = ceil(alphaCap * |E| / k) = ceil(alphaCap / 2)).
+    // k = 2 gives cap = ceil(1.05 * 2 / 2) = 2 edges per partition; any cap
+    // below 2 would forbid colocation on a two-edge graph, a capacity
+    // artifact rather than the heuristic.
     val g = GraphData.fromEdges(3, Seq((0, 1), (1, 2)))
-    val res = new GreedyPartitioner(alphaCap = 4.0).partition(g, 4)
+    val res = new GreedyPartitioner().partition(g, 2)
     assert(res.pids(0) == res.pids(1))
   }
 
@@ -97,7 +97,7 @@ class StreamingBaselinesSpec extends AnyFunSuite with PropHelper {
 
   test("HDRF produces balanced partitions within alpha") {
     val g = TestGraphs.powerLaw(150, 600, gamma = 3.0, seed = 44)
-    val res = new Hdrf(alphaCap = 1.05).partition(g, 8)
+    val res = new Hdrf().partition(g, 8)
     assert(Partitioners.alpha(res) <= 1.05 + 8.0 / g.nE + 0.05)
   }
 
@@ -113,7 +113,7 @@ class StreamingBaselinesSpec extends AnyFunSuite with PropHelper {
 
   test("Random streaming respects the balancing capacity") {
     val g = TestGraphs.random(100, 500, seed = 46)
-    val res = new RandomStreaming(alphaCap = 1.05).partition(g, 7)
+    val res = new RandomStreaming().partition(g, 7)
     assert(Partitioners.alpha(res) <= 1.05 + 7.0 / g.nE + 0.05)
   }
 

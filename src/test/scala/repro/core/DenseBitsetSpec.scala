@@ -57,10 +57,10 @@ class DenseBitsetSpec extends AnyFunSuite with PropHelper {
   }
 
   test("footprint matches 64-bit word granularity") {
-    assert(new DenseBitset(1).footprintBytes == 8)
-    assert(new DenseBitset(64).footprintBytes == 8)
-    assert(new DenseBitset(65).footprintBytes == 16)
-    assert(new DenseBitset(1024).footprintBytes == 128)
+    assert(new DenseBitset(1).wordCount == 1)
+    assert(new DenseBitset(64).wordCount == 1)
+    assert(new DenseBitset(65).wordCount == 2)
+    assert(new DenseBitset(1024).wordCount == 16)
   }
 
   test("word-level reads expose the set bits, 64 per word") {

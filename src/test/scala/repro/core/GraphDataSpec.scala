@@ -74,4 +74,17 @@ class GraphDataSpec extends SparkSpec {
     assert(err.getMessage.contains("edge 3 is a self loop (3, 3)"), err.getMessage)
     assert(GraphData.fromEdges(5, edges.filter { case (u, v) => u != v }).nE == 5)
   }
+
+  test("an id outside [0, nV) is rejected with a message naming the edge") {
+    for ((src, dst, named) <- Seq(
+        (Array(0, 1, 2), Array(1, 2, 7), "edge 2 (2, 7)"),
+        (Array(0, -1, 2), Array(1, 2, 3), "edge 1 (-1, 2)"))) {
+      val err = intercept[IllegalArgumentException](new GraphData(4, src, dst))
+      assert(err.getMessage.contains(named) && err.getMessage.contains("[0, 4)"), err.getMessage)
+    }
+  }
+
+  test("a negative vertex count is rejected") {
+    intercept[IllegalArgumentException](new GraphData(-1, Array.emptyIntArray, Array.emptyIntArray))
+  }
 }

@@ -20,7 +20,7 @@ class HepSpec extends SparkSpec {
   test("balancing constraint alpha is honoured") {
     val g = TestGraphs.powerLaw(300, 1500, gamma = 3.0, seed = 12)
     for (tau <- Seq(100.0, 10.0, 1.0); k <- Seq(4, 8)) {
-      val res = new Hep(tau, alphaCap = 1.05).partition(g, k)
+      val res = new Hep(tau).partition(g, k)
       // ceil-capacity plus the h2h cap gives a small constant slack on tiny partitions
       assert(Partitioners.alpha(res) <= 1.05 + k.toDouble / g.nE + 0.05,
         s"tau=$tau k=$k alpha=${Partitioners.alpha(res)}")

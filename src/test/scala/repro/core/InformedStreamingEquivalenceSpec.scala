@@ -7,7 +7,8 @@ import scala.util.Random
 /** `InformedStreaming` scores at most four candidate partitions per edge.
   * These tests hold it to the full-scan HDRF loop it replaced: identical
   * `pids`, `loads` and replica sets on a grid of graphs, `k` (including
-  * partial 64-bit mask words), `tau`, `alpha`, cold and NE++-seeded state.
+  * partial 64-bit mask words), `tau`, cold and NE++-seeded state, and preset
+  * loads that reach the `α = 1.05` capacity.
   * NE++-seeded streams also run through `run(csr)`, which reads the h2h
   * edges from the edge list instead of an explicit id list.
   */
@@ -26,11 +27,12 @@ class InformedStreamingEquivalenceSpec extends AnyFunSuite {
 
   /** Frozen copy of the full-scan streaming loop: score every partition,
     * keep the first maximum, fall back to the least-loaded (lowest `p`)
-    * partition when all are full. Returns the number of fallbacks.
+    * partition when all are full. Returns the number of fallbacks. It keeps
+    * its own copy of the capacity formula, so a change to
+    * `Partitioners.capacity` shows up here as a mismatch.
     */
-  private def fullScan(g: GraphData, k: Int, s: State, lambda: Double, alphaCap: Double,
-                       edgeIds: Array[Int]): Long = {
-    val capacity = math.ceil(alphaCap * g.nE / k.toDouble).toLong
+  private def fullScan(g: GraphData, k: Int, s: State, edgeIds: Array[Int]): Long = {
+    val capacity = math.ceil(1.05 * g.nE / k.toDouble).toLong
     val deg = g.degrees
     var fallbacks = 0L
     for (eid <- edgeIds) {
@@ -40,7 +42,7 @@ class InformedStreamingEquivalenceSpec extends AnyFunSuite {
       var bestScore = Double.NegativeInfinity
       for (p <- 0 until k if s.loads(p) < capacity) {
         val sc = HdrfScoring.score(deg(u), deg(v), s.replicas(p).get(u), s.replicas(p).get(v),
-          s.loads(p), minLoad, maxLoad, lambda)
+          s.loads(p), minLoad, maxLoad)
         if (sc > bestScore) { bestScore = sc; best = p }
       }
       if (best < 0) {
@@ -60,20 +62,17 @@ class InformedStreamingEquivalenceSpec extends AnyFunSuite {
     * `run(csr)` reproduces the explicit-list run.
     */
   private def assertSame(g: GraphData, k: Int, start: State, edgeIds: Array[Int], label: String,
-                         lambda: Double = HdrfScoring.DefaultLambda,
-                         alphaCap: Double = 1.05,
                          csr: PrunedCsr = null): Long = {
     val expected = start.deepCopy()
-    val expectedFallbacks = fullScan(g, k, expected, lambda, alphaCap, edgeIds)
+    val expectedFallbacks = fullScan(g, k, expected, edgeIds)
     val actual = start.deepCopy()
-    val engine = new InformedStreaming(g, k, actual.pids, actual.loads, actual.replicas, lambda, alphaCap)
+    val engine = new InformedStreaming(g, k, actual.pids, actual.loads, actual.replicas)
     engine.run(edgeIds)
     assertSameState(k, actual, expected, label)
     assert(engine.allFullFallbacks == expectedFallbacks, s"fallback count differs: $label")
     if (csr ne null) {
       val streamed = start.deepCopy()
-      val fromCsr = new InformedStreaming(g, k, streamed.pids, streamed.loads, streamed.replicas,
-        lambda, alphaCap)
+      val fromCsr = new InformedStreaming(g, k, streamed.pids, streamed.loads, streamed.replicas)
       fromCsr.run(csr)
       assertSameState(k, streamed, actual, s"run(csr) vs run(csr.h2hEdgeIds): $label")
       assert(fromCsr.allFullFallbacks == engine.allFullFallbacks,
@@ -100,12 +99,11 @@ class InformedStreamingEquivalenceSpec extends AnyFunSuite {
   private val ks = Seq(1, 2, 3, 7, 32, 64, 65, 130)
   // 1e-3 makes every edge h2h; 1e3 leaves none, so nothing is streamed
   private val taus = Seq(1e-3, 0.3, 1.0, 3.0, 1e3)
-  private val alphas = Seq(1.0, 1.05, 1.5)
 
   test("cold streams match the full scan on every (graph, k, alpha)") {
-    for ((name, g) <- graphs; k <- ks; alpha <- alphas) {
+    for ((name, g) <- graphs; k <- ks) {
       val order = new Random(k * 31 + g.nE).shuffle((0 until g.nE).toVector).toArray
-      assertSame(g, k, empty(g, k), order, s"cold $name k=$k alpha=$alpha", alphaCap = alpha)
+      assertSame(g, k, empty(g, k), order, s"cold $name k=$k")
     }
   }
 
@@ -114,14 +112,13 @@ class InformedStreamingEquivalenceSpec extends AnyFunSuite {
 
   test("NE++-seeded streams match the full scan on every (graph, k, tau, alpha)") {
     assert(multiBlock._2.nE > 2 * InformedStreaming.GatherBlock)
-    for ((name, g) <- graphs :+ multiBlock; k <- ks; tau <- taus; alpha <- alphas) {
+    for ((name, g) <- graphs :+ multiBlock; k <- ks; tau <- taus) {
       val csr = PrunedCsr.build(g, Some(tau))
       if (tau == taus.head) assert(csr.h2hCount == g.nE, s"$name: tau=$tau must make every edge h2h")
       if (tau == taus.last) assert(csr.h2hCount == 0, s"$name: tau=$tau must leave no h2h edge")
       val seeded = empty(g, k)
       new NePlusPlus(csr, k, seeded.pids, seeded.loads, seeded.replicas, EdgeRemoval.Lazy).run()
-      assertSame(g, k, seeded, csr.h2hEdgeIds, s"seeded $name k=$k tau=$tau alpha=$alpha",
-        alphaCap = alpha, csr = csr)
+      assertSame(g, k, seeded, csr.h2hEdgeIds, s"seeded $name k=$k tau=$tau", csr = csr)
     }
   }
 
@@ -138,7 +135,7 @@ class InformedStreamingEquivalenceSpec extends AnyFunSuite {
   test("random preset state with many load ties matches the full scan, across lambda") {
     val g = TestGraphs.powerLaw(300, 1500, gamma = 2.0, seed = 303)
     val rnd = new Random(304)
-    for (k <- ks; lambda <- Seq(InformedStreaming.MinLambda, 1.1, 1000.0); round <- 0 until 2) {
+    for (k <- ks; round <- 0 until 2) {
       val cap = math.ceil(1.05 * g.nE / k).toLong
       val s = empty(g, k)
       (0 until k).foreach { p =>
@@ -146,7 +143,7 @@ class InformedStreamingEquivalenceSpec extends AnyFunSuite {
         (0 until g.nV).foreach(v => if (rnd.nextInt(k + 1) == 0) s.replicas(p).set(v))
       }
       val half = rnd.shuffle((0 until g.nE).toVector).take(g.nE / 2).toArray
-      assertSame(g, k, s, half, s"preset k=$k lambda=$lambda round=$round", lambda = lambda)
+      assertSame(g, k, s, half, s"preset k=$k round=$round")
     }
   }
 
@@ -173,19 +170,11 @@ class InformedStreamingEquivalenceSpec extends AnyFunSuite {
   test("partitions filling up mid-stream switch to the fallback at the same edge") {
     val g = TestGraphs.random(120, 600, seed = 307)
     for (k <- ks) {
-      val cap = math.ceil(1.0 * g.nE / k).toLong
+      val cap = math.ceil(1.05 * g.nE / k).toLong
       val s = empty(g, k)
       (0 until k).foreach(p => s.loads(p) = math.max(0L, cap - 1 - (p % 2)))
-      val fallbacks = assertSame(g, k, s, Array.range(0, g.nE), s"filling k=$k", alphaCap = 1.0)
+      val fallbacks = assertSame(g, k, s, Array.range(0, g.nE), s"filling k=$k")
       assert(fallbacks > 0, s"k=$k never reached the all-full state")
-    }
-  }
-
-  test("lambda below the exactness bound is rejected") {
-    val g = TestGraphs.random(10, 20, seed = 308)
-    val s = empty(g, 2)
-    intercept[IllegalArgumentException] {
-      new InformedStreaming(g, 2, s.pids, s.loads, s.replicas, lambda = 0.0)
     }
   }
 }

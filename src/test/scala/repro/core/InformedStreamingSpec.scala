@@ -42,10 +42,14 @@ class InformedStreamingSpec extends AnyFunSuite {
     val g = TestGraphs.random(20, 60, seed = 22)
     val k = 3
     val (pids, loads, replicas) = fresh(g, k)
-    new InformedStreaming(g, k, pids, loads, replicas, alphaCap = 1.0).run(Array.range(0, g.nE))
-    val cap = math.ceil(1.0 * g.nE / k).toLong
-    val byP = pids.groupBy(identity).view.mapValues(_.length.toLong)
-    (0 until k).foreach(p => assert(byP.getOrElse(p, 0L) <= cap, s"partition $p"))
+    val cap = math.ceil(1.05 * g.nE / k).toLong // 21, so 3 partitions hold 63 edges
+    // partition 0 holds every vertex, so HDRF prefers it until it is full;
+    // with 3 edges preset there, the 60 streamed edges fill all three exactly
+    (0 until g.nV).foreach(v => replicas(0).set(v))
+    loads(0) = 3
+    new InformedStreaming(g, k, pids, loads, replicas).run(Array.range(0, g.nE))
+    assert(pids.take(18).forall(_ == 0) && pids.drop(18).forall(_ != 0), pids.mkString(","))
+    assert(loads.toSeq == Seq(cap, cap, cap))
   }
 
   test("pre-assigned edges are rejected (double assignment guard)") {
@@ -69,23 +73,23 @@ class InformedStreamingSpec extends AnyFunSuite {
 
   test("HDRF scoring: replication term dominates an empty-balance field") {
     val s1 = HdrfScoring.score(5, 5, replicatedU = true, replicatedV = true,
-      load = 0, minLoad = 0, maxLoad = 0, lambda = 1.1)
+      load = 0, minLoad = 0, maxLoad = 0)
     val s2 = HdrfScoring.score(5, 5, replicatedU = false, replicatedV = false,
-      load = 0, minLoad = 0, maxLoad = 0, lambda = 1.1)
+      load = 0, minLoad = 0, maxLoad = 0)
     assert(s1 > s2)
   }
 
   test("HDRF scoring: balance term favours the lighter partition") {
     val light = HdrfScoring.score(3, 3, replicatedU = false, replicatedV = false,
-      load = 0, minLoad = 0, maxLoad = 10, lambda = 1.1)
+      load = 0, minLoad = 0, maxLoad = 10)
     val heavy = HdrfScoring.score(3, 3, replicatedU = false, replicatedV = false,
-      load = 10, minLoad = 0, maxLoad = 10, lambda = 1.1)
+      load = 10, minLoad = 0, maxLoad = 10)
     assert(light > heavy)
   }
 
   test("HDRF scoring: zero degrees do not divide by zero") {
     val s = HdrfScoring.score(0, 0, replicatedU = true, replicatedV = false,
-      load = 0, minLoad = 0, maxLoad = 0, lambda = 1.1)
+      load = 0, minLoad = 0, maxLoad = 0)
     assert(!s.isNaN && !s.isInfinite)
   }
 }

@@ -78,6 +78,6 @@ class MetricsSpec extends SparkSpec {
   test("edge balance alpha of a skewed assignment") {
     val g = GraphData.fromEdges(5, Seq((0, 1), (1, 2), (2, 3), (3, 4)))
     val res = PartitionResult(2, Array(0, 0, 0, 1), "manual", 0)
-    assert(math.abs(Metrics.edgeBalance(res) - 3.0 * 2 / 4) < 1e-12)
+    assert(math.abs(Partitioners.alpha(res) - 3.0 * 2 / 4) < 1e-12)
   }
 }
