@@ -1,7 +1,5 @@
 package repro.bench
 
-import repro.SynthGraphs
-import repro.core.GraphData
 import repro.harness.TableHarness
 
 /** Table 1 (empirical side): the paper's Table 1 is analytic; here we verify
@@ -12,18 +10,11 @@ import repro.harness.TableHarness
   */
 class Table1ComplexityBench extends BenchBase {
 
-  private val ks = Seq(4, 32, 128, 256)
-
-  private lazy val rows = {
-    val sg = SynthGraphs.okProxy(spark, benchScale)
-    val g = GraphData.fromDF(sg.df, sg.nV)
-    TableHarness.table1(g, ks)
-  }
+  private lazy val table = TableHarness.table1(spark, benchScale)
+  import table.rows
 
   test("produce Table 1 runtime grid") {
-    printTable("Table 1: runtime (ms) vs k and |E|",
-      Seq("algo", "k", "|E|", "ms") +:
-        rows.map(r => Seq(r.algo, r.k.toString, r.nE.toString, r.millis.toString)))
+    printTable(table)
     assert(rows.nonEmpty)
   }
 

@@ -1,6 +1,5 @@
 package repro.bench
 
-import repro.SynthGraphs
 import repro.harness.TableHarness
 
 /** Table 2: run-time to pre-compute the memory footprint for a τ grid
@@ -9,16 +8,11 @@ import repro.harness.TableHarness
   */
 class Table2TauPrecomputeBench extends BenchBase {
 
-  private lazy val graphs = Seq(
-    SynthGraphs.okProxy(spark, benchScale),
-    SynthGraphs.itProxy(spark, benchScale),
-    SynthGraphs.twProxy(spark, benchScale))
-
-  private lazy val rows = TableHarness.table2(spark, graphs, k = 32)
+  private lazy val table = TableHarness.table2(spark, benchScale)
+  import table.{graphs, rows}
 
   test("produce Table 2 pre-computation runtimes") {
-    printTable("Table 2: tau->memory pre-computation runtime",
-      Seq("graph", "precompute_ms") +: rows.map(r => Seq(r.graph, r.millis.toString)))
+    printTable(table)
     assert(rows.length == 3)
   }
 

@@ -1,6 +1,5 @@
 package repro.bench
 
-import repro.SynthGraphs
 import repro.core.GraphData
 import repro.harness.TableHarness
 
@@ -11,20 +10,11 @@ import repro.harness.TableHarness
   */
 class Table3DatasetsBench extends BenchBase {
 
-  private lazy val graphs = Seq(
-    SynthGraphs.ljProxy(spark, benchScale),
-    SynthGraphs.okProxy(spark, benchScale),
-    SynthGraphs.wiProxy(spark, benchScale),
-    SynthGraphs.itProxy(spark, benchScale),
-    SynthGraphs.twProxy(spark, benchScale))
-
-  private lazy val rows = TableHarness.table3(graphs)
+  private lazy val table = TableHarness.table3(spark, benchScale)
+  import table.{graphs, rows}
 
   test("produce Table 3 dataset statistics") {
-    printTable("Table 3: synthetic proxy datasets",
-      Seq("name", "|V|", "|E|", "size_bytes", "type") +:
-        rows.map(r => Seq(r.graph, r.nV.toString, r.nE.toString,
-          r.sizeBytes.toString, r.kind)))
+    printTable(table)
     assert(rows.length == 5)
     rows.foreach(r => assert(r.nV > 0 && r.nE > 0 && r.sizeBytes == r.nE * 8))
   }

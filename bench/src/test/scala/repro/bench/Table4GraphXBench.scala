@@ -1,6 +1,5 @@
 package repro.bench
 
-import repro.SynthGraphs
 import repro.harness.TableHarness
 
 /** Table 4: the paper's headline experiment — partitioning time, replication
@@ -17,24 +16,14 @@ import repro.harness.TableHarness
   */
 class Table4GraphXBench extends BenchBase {
 
-  private val k = 32
-
-  private lazy val graphs = Seq(
-    SynthGraphs.okProxy(spark, benchScale),
-    SynthGraphs.itProxy(spark, benchScale),
-    SynthGraphs.twProxy(spark, benchScale))
-
-  private lazy val rows =
-    TableHarness.table4(spark, graphs, k, prIters = 5, nSeeds = 3)
+  private lazy val table = TableHarness.table4(spark, benchScale)
+  import table.{graphs, rows}
 
   private def row(graph: String, algo: String) =
     rows.find(r => r.graph == graph && r.algo == algo).get
 
   test("produce Table 4") {
-    printTable("Table 4: partitioning + GraphX processing, k=32",
-      Seq("graph", "algo", "part_ms", "rf", "alpha", "pagerank_ms", "bfs_ms", "cc_ms") +:
-        rows.map(r => Seq(r.graph, r.algo, r.partMs.toString, f"${r.rf}%.2f",
-          f"${r.alpha}%.2f", r.prMs.toString, r.bfsMs.toString, r.ccMs.toString)))
+    printTable(table)
     assert(rows.length == graphs.length * 7)
   }
 

@@ -1,6 +1,5 @@
 package repro.bench
 
-import repro.SynthGraphs
 import repro.harness.TableHarness
 
 /** Table 5: HEP's vertex balancing (std-deviation / average of vertex
@@ -10,19 +9,11 @@ import repro.harness.TableHarness
   */
 class Table5VertexBalanceBench extends BenchBase {
 
-  private val k = 32
-
-  private lazy val graphs = Seq(
-    SynthGraphs.okProxy(spark, benchScale),
-    SynthGraphs.itProxy(spark, benchScale),
-    SynthGraphs.twProxy(spark, benchScale))
-
-  private lazy val rows = TableHarness.table5(spark, graphs, k)
+  private lazy val table = TableHarness.table5(spark, benchScale)
+  import table.{graphs, rows}
 
   test("produce Table 5") {
-    printTable("Table 5: HEP vertex balancing (std/avg), k=32",
-      Seq("graph", "algo", "std/avg") +:
-        rows.map(r => Seq(r.graph, r.algo, f"${r.stdOverAvg}%.3f")))
+    printTable(table)
     assert(rows.length == graphs.length * 3)
   }
 

@@ -1,6 +1,5 @@
 package repro.bench
 
-import repro.SynthGraphs
 import repro.harness.TableHarness
 
 /** Table 6: performance of paged NE++ on the OK graph under shrinking memory
@@ -12,27 +11,13 @@ import repro.harness.TableHarness
   */
 class Table6PagingBench extends BenchBase {
 
-  private val k = 32
-
-  private lazy val sg = SynthGraphs.okProxy(spark, benchScale)
-
-  private lazy val result = {
-    val g = repro.core.GraphData.fromDF(sg.df, sg.nV)
-    val csrBytes = repro.core.PrunedCsr.build(g, Some(100.0)).memoryFootprintBytes(k)
-    // sweep from "fits comfortably" down to "almost nothing resident"
-    val limits = Seq(1.2, 0.8, 0.6, 0.4, 0.25, 0.15).map(f => (csrBytes * f).toLong)
-    val (rows, baseMs) = TableHarness.table6(sg, k, tau = 100.0, limits)
-    (rows, baseMs, csrBytes, g)
-  }
+  private lazy val table = TableHarness.table6(spark, benchScale)
+  private lazy val result = (table.rows, table.baseMs, table.csrBytes, table.g)
+  private val k = TableHarness.K
 
   test("produce Table 6") {
-    val (rows, baseMs, csrBytes, _) = result
-    println(s"\nOK-proxy CSR footprint at tau=100: $csrBytes bytes; " +
-      s"unconstrained HEP-100 runtime (CSR build included): $baseMs ms")
-    printTable("Table 6: simulated paging of NE++ on OK-proxy, k=32",
-      Seq("mem_limit_bytes", "hard_faults", "accesses", "modelled_ms") +:
-        rows.map(r => Seq(r.memLimitBytes.toString, r.faults.toString,
-          r.accesses.toString, r.modelledMs.toString)))
+    val (rows, _, _, _) = result
+    printTable(table)
     assert(rows.length == 6)
   }
 

@@ -2,9 +2,6 @@ package repro.jobs
 
 import org.apache.spark.sql.SparkSession
 
-import repro.SynthGraphs
-import repro.core.GraphData
-import repro.harness.TableHarness
 import repro.harness.TableHarness._
 
 /** Shared plumbing for the per-table spark-submit entry points.
@@ -15,7 +12,7 @@ import repro.harness.TableHarness._
 object TableJobs {
 
   def withSpark[A](appName: String)(body: SparkSession => A): A = {
-    val builder = SparkSession.builder
+    val builder = SparkSession.builder()
       .appName(appName)
       .config("spark.sql.shuffle.partitions", "64")
     // spark-submit sets spark.master itself; default to local[*] when the
@@ -29,77 +26,30 @@ object TableJobs {
 
   def scaleArg(args: Array[String]): Double =
     args.headOption.map(_.toDouble).getOrElse(1.0)
+}
 
-  def benchGraphs(spark: SparkSession, scale: Double) =
-    Seq(SynthGraphs.okProxy(spark, scale),
-        SynthGraphs.itProxy(spark, scale),
-        SynthGraphs.twProxy(spark, scale))
+/** An entry point that prints one table as `TableHarness` defines it, the
+  * same table its `bench/` suite prints.
+  */
+sealed abstract class TableJob(appName: String, table: (SparkSession, Double) => Table) {
+  def main(args: Array[String]): Unit =
+    TableJobs.withSpark(appName)(spark => println(render(table(spark, TableJobs.scaleArg(args)))))
 }
 
 /** Table 1: empirical runtime scaling over k and |E| for all partitioners. */
-object Table1Job {
-  def main(args: Array[String]): Unit = TableJobs.withSpark("hep-table1") { spark =>
-    val sg = SynthGraphs.ljProxy(spark, TableJobs.scaleArg(args))
-    val g = GraphData.fromDF(sg.df, sg.nV)
-    val rows = TableHarness.table1(g, Seq(4, 8, 16, 32))
-    println(render(Seq("algo", "k", "|E|", "ms") +:
-      rows.map(r => Seq(r.algo, r.k.toString, r.nE.toString, r.millis.toString))))
-  }
-}
+object Table1Job extends TableJob("hep-table1", table1)
 
 /** Table 2: runtime of the τ → memory-footprint pre-computation. */
-object Table2Job {
-  def main(args: Array[String]): Unit = TableJobs.withSpark("hep-table2") { spark =>
-    val graphs = TableJobs.benchGraphs(spark, TableJobs.scaleArg(args))
-    val rows = TableHarness.table2(spark, graphs, k = 32)
-    println(render(Seq("graph", "precompute_ms") +:
-      rows.map(r => Seq(r.graph, r.millis.toString))))
-  }
-}
+object Table2Job extends TableJob("hep-table2", table2)
 
 /** Table 3: statistics of the synthetic proxy datasets. */
-object Table3Job {
-  def main(args: Array[String]): Unit = TableJobs.withSpark("hep-table3") { spark =>
-    val graphs = TableJobs.benchGraphs(spark, TableJobs.scaleArg(args)) ++
-      Seq(SynthGraphs.ljProxy(spark), SynthGraphs.wiProxy(spark))
-    val rows = TableHarness.table3(graphs)
-    println(render(Seq("name", "|V|", "|E|", "size_bytes", "type") +:
-      rows.map(r => Seq(r.graph, r.nV.toString, r.nE.toString, r.sizeBytes.toString, r.kind))))
-  }
-}
+object Table3Job extends TableJob("hep-table3", table3)
 
 /** Table 4: partitioning time, replication factor and GraphX processing. */
-object Table4Job {
-  def main(args: Array[String]): Unit = TableJobs.withSpark("hep-table4") { spark =>
-    val graphs = TableJobs.benchGraphs(spark, TableJobs.scaleArg(args))
-    val rows = TableHarness.table4(spark, graphs, k = 32, prIters = 5, nSeeds = 3)
-    println(render(
-      Seq("graph", "algo", "part_ms", "rf", "alpha", "pagerank_ms", "bfs_ms", "cc_ms") +:
-      rows.map(r => Seq(r.graph, r.algo, r.partMs.toString, f"${r.rf}%.2f",
-        f"${r.alpha}%.2f", r.prMs.toString, r.bfsMs.toString, r.ccMs.toString))))
-  }
-}
+object Table4Job extends TableJob("hep-table4", table4)
 
 /** Table 5: HEP vertex balancing (std/avg vertex replicas per partition). */
-object Table5Job {
-  def main(args: Array[String]): Unit = TableJobs.withSpark("hep-table5") { spark =>
-    val graphs = TableJobs.benchGraphs(spark, TableJobs.scaleArg(args))
-    val rows = TableHarness.table5(spark, graphs, k = 32)
-    println(render(Seq("graph", "algo", "std/avg") +:
-      rows.map(r => Seq(r.graph, r.algo, f"${r.stdOverAvg}%.3f"))))
-  }
-}
+object Table5Job extends TableJob("hep-table5", table5)
 
 /** Table 6: simulated paging of NE++ under shrinking memory limits. */
-object Table6Job {
-  def main(args: Array[String]): Unit = TableJobs.withSpark("hep-table6") { spark =>
-    val sg = SynthGraphs.okProxy(spark, TableJobs.scaleArg(args))
-    val limitsMB = Seq(16L, 12L, 8L, 6L, 4L, 3L, 2L)
-    val (rows, baseMs) = TableHarness.table6(sg, k = 32, tau = 100.0,
-      limitsMB.map(_ * 1024 * 1024))
-    println(s"unconstrained runtime: $baseMs ms")
-    println(render(Seq("mem_limit_MB", "hard_faults", "accesses", "modelled_ms") +:
-      rows.map(r => Seq((r.memLimitBytes / 1024 / 1024).toString, r.faults.toString,
-        r.accesses.toString, r.modelledMs.toString))))
-  }
-}
+object Table6Job extends TableJob("hep-table6", table6)

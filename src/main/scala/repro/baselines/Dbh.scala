@@ -11,7 +11,7 @@ final class Dbh extends EdgePartitioner {
 
   override def name: String = "DBH"
 
-  override def partition(g: GraphData, k: Int): PartitionResult = {
+  override protected def compute(g: GraphData, k: Int): PartitionResult = {
     val t0 = System.nanoTime()
     val deg = g.degrees
     val pids = new Array[Int](g.nE)

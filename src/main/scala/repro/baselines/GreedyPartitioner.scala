@@ -17,7 +17,7 @@ final class GreedyPartitioner extends EdgePartitioner {
 
   override def name: String = "Greedy"
 
-  override def partition(g: GraphData, k: Int): PartitionResult = {
+  override protected def compute(g: GraphData, k: Int): PartitionResult = {
     val t0 = System.nanoTime()
     val pids = new Array[Int](g.nE)
     val loads = new Array[Long](k)

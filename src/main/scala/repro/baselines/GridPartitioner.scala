@@ -14,7 +14,7 @@ final class GridPartitioner extends EdgePartitioner {
 
   override def name: String = "Grid"
 
-  override def partition(g: GraphData, k: Int): PartitionResult = {
+  override protected def compute(g: GraphData, k: Int): PartitionResult = {
     val t0 = System.nanoTime()
     val r = GridPartitioner.rows(k)
     val c = k / r

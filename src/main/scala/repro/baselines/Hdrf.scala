@@ -14,7 +14,7 @@ final class Hdrf extends EdgePartitioner {
 
   override def name: String = "HDRF"
 
-  override def partition(g: GraphData, k: Int): PartitionResult = {
+  override protected def compute(g: GraphData, k: Int): PartitionResult = {
     val t0 = System.nanoTime()
     val pids = Array.fill(g.nE)(-1)
     val loads = new Array[Long](k)

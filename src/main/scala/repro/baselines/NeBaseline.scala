@@ -24,8 +24,7 @@ final class NeBaseline extends EdgePartitioner {
 
   override def name: String = "NE"
 
-  override def partition(g: GraphData, k: Int): PartitionResult = {
-    require(k >= 1, s"k must be >= 1, got $k")
+  override protected def compute(g: GraphData, k: Int): PartitionResult = {
     val t0 = System.nanoTime()
     val run = new NeBaseline.Run(g, k)
     run.execute()
@@ -75,8 +74,7 @@ object NeBaseline {
     private val secondary = new DenseBitset(g.nV)
     private val members = new scala.collection.mutable.ArrayBuffer[Int]()
     private val heap = new IndexedMinHeap(g.nV)
-    private val capacity: Long =
-      if (k == 1) Long.MaxValue else (g.nE.toLong + k - 1) / k
+    private val capacity: Long = (g.nE.toLong + k - 1) / k
     private var assigned = 0L
     private var seedPtr = 0
 

@@ -11,7 +11,7 @@ final class RandomStreaming extends EdgePartitioner {
 
   override def name: String = "Random"
 
-  override def partition(g: GraphData, k: Int): PartitionResult = {
+  override protected def compute(g: GraphData, k: Int): PartitionResult = {
     val t0 = System.nanoTime()
     val pids = new Array[Int](g.nE)
     val loads = new Array[Long](k)

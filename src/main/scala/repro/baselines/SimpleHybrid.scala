@@ -11,9 +11,9 @@ import repro.core._
   */
 final class SimpleHybrid(val tau: Double) extends EdgePartitioner {
 
-  override def name: String = s"SimpleHybrid-${if (tau == tau.floor) tau.toLong else tau}"
+  override def name: String = s"SimpleHybrid-${Hep.tauLabel(tau)}"
 
-  override def partition(g: GraphData, k: Int): PartitionResult = {
+  override protected def compute(g: GraphData, k: Int): PartitionResult = {
     val t0 = System.nanoTime()
     val isHigh = g.highDegree(tau)
 

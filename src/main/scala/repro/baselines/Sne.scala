@@ -18,7 +18,7 @@ final class Sne extends EdgePartitioner {
 
   override def name: String = "SNE"
 
-  override def partition(g: GraphData, k: Int): PartitionResult = {
+  override protected def compute(g: GraphData, k: Int): PartitionResult = {
     val t0 = System.nanoTime()
     val run = new Sne.Run(g, k)
     val pids = run.execute()
@@ -50,10 +50,6 @@ object Sne {
     private val heap = new IndexedMinHeap(g.nV)
 
     def execute(): Array[Int] = {
-      if (k == 1) {
-        java.util.Arrays.fill(pids, 0)
-        return pids
-      }
       var p = 0
       while (p < k - 1) {
         fillBuffer()

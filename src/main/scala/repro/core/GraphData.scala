@@ -58,11 +58,6 @@ final class GraphData(val nV: Int, val src: Array[Int], val dst: Array[Int]) {
     while (v < nV) { high(v) = d(v) > threshold; v += 1 }
     high
   }
-
-  /** Size of the graph as a binary edge list with 32-bit ids (Table 3's
-    * "Size" column): 8 bytes per edge.
-    */
-  def binaryEdgeListBytes: Long = nE.toLong * 8L
 }
 
 object GraphData {

@@ -12,12 +12,9 @@ package repro.core
   */
 final class Hep(val tau: Double) extends EdgePartitioner {
 
-  override def name: String = {
-    val t = if (tau == tau.floor && tau < 1e6) tau.toLong.toString else tau.toString
-    s"HEP-$t"
-  }
+  override def name: String = s"HEP-${Hep.tauLabel(tau)}"
 
-  override def partition(g: GraphData, k: Int): PartitionResult =
+  override protected def compute(g: GraphData, k: Int): PartitionResult =
     partitionDetailed(g, k).result
 
   /** Full run, additionally exposing the CSR (pruning stats, memory model)
@@ -42,6 +39,10 @@ final class Hep(val tau: Double) extends EdgePartitioner {
 }
 
 object Hep {
+  /** τ as a name suffix: `100`, `0.5`; from 10⁶ on, the `Double` form. */
+  def tauLabel(tau: Double): String =
+    if (tau == tau.floor && tau < 1e6) tau.toLong.toString else tau.toString
+
   /** Result bundle of [[Hep.partitionDetailed]]. */
   final case class Detailed(
       result: PartitionResult,

@@ -86,9 +86,7 @@ final class NePlusPlus(
   /** Adapted capacity bound (Section 3.2.3): in-memory edges are spread over
     * the k partitions; h2h edges are the streaming phase's budget.
     */
-  val capacity: Long =
-    if (k == 1) Long.MaxValue
-    else (csr.inMemEdgeCount.toLong + k - 1) / k
+  val capacity: Long = (csr.inMemEdgeCount.toLong + k - 1) / k
 
   private var assigned = 0L
   private var seedPtr = 0

@@ -26,8 +26,14 @@ final case class PartitionResult(
 trait EdgePartitioner {
   def name: String
 
-  /** Partition the `nE` edges of `g` into `k` parts. */
-  def partition(g: GraphData, k: Int): PartitionResult
+  /** Partition the `nE` edges of `g` into `k ≥ 1` parts (checked here). */
+  final def partition(g: GraphData, k: Int): PartitionResult = {
+    require(k >= 1, s"$name: k must be >= 1, got $k")
+    compute(g, k)
+  }
+
+  /** The algorithm behind [[partition]], called with `k ≥ 1`. */
+  protected def compute(g: GraphData, k: Int): PartitionResult
 }
 
 object Partitioners {

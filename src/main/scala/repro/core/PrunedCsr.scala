@@ -38,7 +38,6 @@ trait AccessTracer {
   */
 final class PrunedCsr private (
     val g: GraphData,
-    val tau: Option[Double],
     private[core] val high: Array[Boolean],
     private[core] val blockStart: Array[Int],
     private[core] val outCap: Array[Int],
@@ -135,19 +134,24 @@ final class PrunedCsr private (
 
   // -- memory model ----------------------------------------------------------
 
-  /** Byte footprint under the paper's Section 4.2 model:
-    * column array (`Σ_{v∈V_l} d'(v) * b_id`) + two index arrays + two size
-    * fields per vertex (`6 * |V| * b_id`) + `k+1` dense bitsets + min-heap
-    * with lookup table (`2 * |V| * b_id`, folded into the `6|V|` term by the
-    * paper; we follow the paper's printed total).
+  /** Byte footprint under the paper's Section 4.2 model: the column array
+    * (`Σ_{v∈V_l} d'(v) * b_id`) plus [[PrunedCsr.fixedFootprintBytes]].
     */
-  def memoryFootprintBytes(k: Int): Long = {
-    val bId = 4L
-    nbr.length.toLong * bId + 6L * g.nV * bId + (g.nV.toLong * (k + 1) + 7) / 8
-  }
+  def memoryFootprintBytes(k: Int): Long =
+    nbr.length.toLong * PrunedCsr.IdBytes + PrunedCsr.fixedFootprintBytes(g.nV, k)
 }
 
 object PrunedCsr {
+
+  /** The paper's `b_id`: bytes per vertex id, and so per column entry. */
+  final val IdBytes = 4L
+
+  /** The τ-independent part of the Section 4.2 footprint: index arrays, size
+    * fields, heap and lookup table (`6 * |V| * b_id`, the paper's printed
+    * total) plus `k+1` dense bitsets (`⌈|V|(k+1)/8⌉`).
+    */
+  def fixedFootprintBytes(nV: Long, k: Int): Long =
+    6L * nV * IdBytes + (nV * (k + 1) + 7) / 8
 
   /** Two-pass CSR build (Section 4.1 "Graph Building"): pass 1 computes
     * degrees (already cached on [[GraphData]]), the index arrays and the h2h
@@ -197,7 +201,7 @@ object PrunedCsr {
       e += 1
     }
 
-    new PrunedCsr(g, tau, high, blockStart, outCnt, outFill, inFill, nbr, eid, h2h)
+    new PrunedCsr(g, high, blockStart, outCnt, outFill, inFill, nbr, eid, h2h)
   }
 
   /** Largest column length the JVM can allocate as one array. */

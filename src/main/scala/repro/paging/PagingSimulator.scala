@@ -1,6 +1,6 @@
 package repro.paging
 
-import repro.core.AccessTracer
+import repro.core.{AccessTracer, PrunedCsr}
 
 /** LRU page-cache simulator — the Table 6 substitute for the paper's
   * cgroups-plus-SSD-swap experiment (see DESIGN.md §4, row T6).
@@ -21,8 +21,7 @@ import repro.core.AccessTracer
   *
   * @param residentPages maximum resident 4 KiB pages (≥ 1)
   */
-final class PagingSimulator(val residentPages: Int, val pageBytes: Int = 4096)
-    extends AccessTracer {
+final class PagingSimulator(val residentPages: Int) extends AccessTracer {
   require(residentPages >= 1, s"need at least one resident page, got $residentPages")
 
   private val lru = new java.util.LinkedHashMap[Int, java.lang.Boolean](16, 0.75f, true) {
@@ -34,7 +33,7 @@ final class PagingSimulator(val residentPages: Int, val pageBytes: Int = 4096)
   private var _faults = 0L
 
   override def onAccess(entryIndex: Int): Unit = {
-    val page = (entryIndex.toLong * 4L / pageBytes).toInt
+    val page = (entryIndex.toLong * PrunedCsr.IdBytes / PagingSimulator.PageBytes).toInt
     _accesses += 1
     if (lru.get(page) == null) {
       _faults += 1
@@ -51,21 +50,23 @@ final class PagingSimulator(val residentPages: Int, val pageBytes: Int = 4096)
 
 object PagingSimulator {
 
-  /** Default modelled SSD 4 KiB random-read latency (µs); the paper's setup
-    * swaps to "an SSD for fast swapping".
+  /** Page size in bytes. */
+  final val PageBytes = 4096
+
+  /** Modelled SSD 4 KiB random-read latency (µs); the paper's setup swaps to
+    * "an SSD for fast swapping".
     */
-  val SsdReadMicros = 60L
+  final val SsdReadMicros = 60L
 
   /** Resident-page budget for the column array under a total process memory
     * limit: the fixed structures (index/size arrays, bitsets, heap — the
     * non-column terms of Section 4.2) are always resident; whatever is left
     * holds column-array pages.
     */
-  def residentPagesFor(memLimitBytes: Long, fixedBytes: Long, pageBytes: Int = 4096): Int =
-    math.max(1L, (memLimitBytes - fixedBytes) / pageBytes).toInt
+  def residentPagesFor(memLimitBytes: Long, fixedBytes: Long): Int =
+    math.max(1L, (memLimitBytes - fixedBytes) / PageBytes).toInt
 
   /** Modelled wall-clock: measured compute time plus fault service time. */
-  def modelledRuntimeMs(measuredMs: Long, faults: Long,
-                        ssdMicros: Long = SsdReadMicros): Long =
-    measuredMs + faults * ssdMicros / 1000L
+  def modelledRuntimeMs(measuredMs: Long, faults: Long): Long =
+    measuredMs + faults * SsdReadMicros / 1000L
 }

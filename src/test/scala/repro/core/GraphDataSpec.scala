@@ -15,10 +15,9 @@ class GraphDataSpec extends SparkSpec {
     assert(g.meanDegree === 2.0 * 5 / 6)
   }
 
-  test("edge count and binary size") {
+  test("edge count") {
     val g = TestGraphs.path(10)
     assert(g.nE == 9)
-    assert(g.binaryEdgeListBytes == 9 * 8)
   }
 
   test("fromEdges preserves edge orientation") {

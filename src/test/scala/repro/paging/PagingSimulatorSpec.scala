@@ -53,7 +53,7 @@ class PagingSimulatorSpec extends AnyFunSuite {
 
   test("modelled runtime adds SSD latency per fault") {
     assert(PagingSimulator.modelledRuntimeMs(100, 0) == 100)
-    assert(PagingSimulator.modelledRuntimeMs(100, 1000, ssdMicros = 60) == 160)
+    assert(PagingSimulator.modelledRuntimeMs(100, 1000) == 160)
   }
 
   test("zero resident pages is rejected") {
