@@ -32,6 +32,14 @@ object SynthGraphs {
     def edgeCount: Long = df.count()
   }
 
+  /** Slices of the generators' row ranges. `rand(seed)` draws one stream per
+    * slice, so the graph depends on the slice count; fixing it keeps a proxy
+    * the same under any `local[n]`. 4 is the count a 4-core `local[*]` and
+    * perfbench (`spark.default.parallelism = 4`) used before, so their
+    * graphs are unchanged.
+    */
+  final val GeneratorSlices = 4
+
   /** Power-law graph: both endpoints drawn with density ∝ (rank+1)^(1/γ−1)
     * over `[0, nVRaw)`; larger γ ⇒ heavier hubs. γ = 3 gives a top-hub
     * degree several hundred times the mean at the sizes used here, so
@@ -39,7 +47,7 @@ object SynthGraphs {
     */
   def powerLawGraph(spark: SparkSession, nVRaw: Int, targetE: Long,
                     gamma: Double = 3.0, seed: Long = 7): DataFrame = {
-    val raw = spark.range((targetE * 1.6).toLong).select(
+    val raw = spark.range(0, (targetE * 1.6).toLong, 1, GeneratorSlices).select(
       floor(pow(rand(seed), gamma) * nVRaw).cast("int").as("a"),
       floor(pow(rand(seed + 1), gamma) * nVRaw).cast("int").as("b"),
     )
@@ -53,7 +61,7 @@ object SynthGraphs {
                window: Int = 12, hubFrac: Double = 0.10, nHubs: Int = 40,
                seed: Long = 11): DataFrame = {
     val rows = (targetE * 1.6).toLong
-    val raw = spark.range(rows).select(
+    val raw = spark.range(0, rows, 1, GeneratorSlices).select(
       floor(rand(seed) * nVRaw).cast("int").as("a"),
       rand(seed + 1).as("u"),
       rand(seed + 2).as("w"),

@@ -12,7 +12,6 @@ final class Dbh extends EdgePartitioner {
   override def name: String = "DBH"
 
   override protected def compute(g: GraphData, k: Int): PartitionResult = {
-    val t0 = System.nanoTime()
     val deg = g.degrees
     val pids = new Array[Int](g.nE)
     var e = 0
@@ -22,8 +21,7 @@ final class Dbh extends EdgePartitioner {
       pids(e) = Dbh.mix(key) % k
       e += 1
     }
-    val ms = (System.nanoTime() - t0) / 1000000L
-    PartitionResult(k, pids, name, ms)
+    PartitionResult(k, pids, name)
   }
 }
 

@@ -18,7 +18,6 @@ final class GreedyPartitioner extends EdgePartitioner {
   override def name: String = "Greedy"
 
   override protected def compute(g: GraphData, k: Int): PartitionResult = {
-    val t0 = System.nanoTime()
     val pids = new Array[Int](g.nE)
     val loads = new Array[Long](k)
     val replicas = Array.fill(k)(new DenseBitset(g.nV))
@@ -49,7 +48,6 @@ final class GreedyPartitioner extends EdgePartitioner {
       replicas(target).set(v)
       e += 1
     }
-    val ms = (System.nanoTime() - t0) / 1000000L
-    PartitionResult(k, pids, name, ms)
+    PartitionResult(k, pids, name)
   }
 }

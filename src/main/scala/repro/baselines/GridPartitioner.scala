@@ -15,7 +15,6 @@ final class GridPartitioner extends EdgePartitioner {
   override def name: String = "Grid"
 
   override protected def compute(g: GraphData, k: Int): PartitionResult = {
-    val t0 = System.nanoTime()
     val r = GridPartitioner.rows(k)
     val c = k / r
     val pids = new Array[Int](g.nE)
@@ -30,8 +29,7 @@ final class GridPartitioner extends EdgePartitioner {
       loads(p) += 1
       e += 1
     }
-    val ms = (System.nanoTime() - t0) / 1000000L
-    PartitionResult(k, pids, name, ms)
+    PartitionResult(k, pids, name)
   }
 }
 

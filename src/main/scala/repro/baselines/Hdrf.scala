@@ -15,7 +15,6 @@ final class Hdrf extends EdgePartitioner {
   override def name: String = "HDRF"
 
   override protected def compute(g: GraphData, k: Int): PartitionResult = {
-    val t0 = System.nanoTime()
     val pids = Array.fill(g.nE)(-1)
     val loads = new Array[Long](k)
     val replicas = Array.fill(k)(new DenseBitset(g.nV))
@@ -55,7 +54,6 @@ final class Hdrf extends EdgePartitioner {
       replicas(best).set(v)
       e += 1
     }
-    val ms = (System.nanoTime() - t0) / 1000000L
-    PartitionResult(k, pids, name, ms)
+    PartitionResult(k, pids, name)
   }
 }

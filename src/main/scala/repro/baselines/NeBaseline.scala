@@ -25,11 +25,10 @@ final class NeBaseline extends EdgePartitioner {
   override def name: String = "NE"
 
   override protected def compute(g: GraphData, k: Int): PartitionResult = {
-    val t0 = System.nanoTime()
     val run = new NeBaseline.Run(g, k)
     run.execute()
-    val ms = (System.nanoTime() - t0) / 1000000L
-    PartitionResult(k, run.pids, name, ms, Some(NeBaseline.memoryModelBytes(g, k)))
+    PartitionResult(k, run.pids, name,
+      memoryModelBytes = Some(NeBaseline.memoryModelBytes(g, k)))
   }
 }
 

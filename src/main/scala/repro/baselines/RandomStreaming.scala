@@ -12,14 +12,12 @@ final class RandomStreaming extends EdgePartitioner {
   override def name: String = "Random"
 
   override protected def compute(g: GraphData, k: Int): PartitionResult = {
-    val t0 = System.nanoTime()
     val pids = new Array[Int](g.nE)
     val loads = new Array[Long](k)
     val capacity = Partitioners.capacity(g, k)
     var e = 0
     while (e < g.nE) { RandomStreaming.place(e, pids, loads, capacity); e += 1 }
-    val ms = (System.nanoTime() - t0) / 1000000L
-    PartitionResult(k, pids, name, ms)
+    PartitionResult(k, pids, name)
   }
 }
 

@@ -14,7 +14,6 @@ final class SimpleHybrid(val tau: Double) extends EdgePartitioner {
   override def name: String = s"SimpleHybrid-${Hep.tauLabel(tau)}"
 
   override protected def compute(g: GraphData, k: Int): PartitionResult = {
-    val t0 = System.nanoTime()
     val isHigh = g.highDegree(tau)
 
     // split the edge list
@@ -46,7 +45,6 @@ final class SimpleHybrid(val tau: Double) extends EdgePartitioner {
     val capacity = Partitioners.capacity(g, k)
     h2hIds.foreach(RandomStreaming.place(_, pids, loads, capacity))
 
-    val ms = (System.nanoTime() - t0) / 1000000L
-    PartitionResult(k, pids, name, ms)
+    PartitionResult(k, pids, name)
   }
 }

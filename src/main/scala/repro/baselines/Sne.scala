@@ -18,13 +18,8 @@ final class Sne extends EdgePartitioner {
 
   override def name: String = "SNE"
 
-  override protected def compute(g: GraphData, k: Int): PartitionResult = {
-    val t0 = System.nanoTime()
-    val run = new Sne.Run(g, k)
-    val pids = run.execute()
-    val ms = (System.nanoTime() - t0) / 1000000L
-    PartitionResult(k, pids, name, ms)
-  }
+  override protected def compute(g: GraphData, k: Int): PartitionResult =
+    PartitionResult(k, new Sne.Run(g, k).execute(), name)
 }
 
 object Sne {
@@ -53,15 +48,12 @@ object Sne {
       var p = 0
       while (p < k - 1) {
         fillBuffer()
-        var stuck = false
-        while (!stuck && loads(p) < capacity && (buffered > 0 || streamPtr < g.nE)) {
+        // each carve starts on a non-empty buffer and assigns the edges of
+        // its first seed, so every pass raises loads(p)
+        while (loads(p) < capacity && (buffered > 0 || streamPtr < g.nE)) {
           if (buffered == 0) fillBuffer()
-          val before = loads(p)
           carve(p)
           fillBuffer()
-          // a carve that assigns nothing with a non-empty buffer cannot occur
-          // (any buffered vertex is a valid seed), but guard against stalls
-          stuck = loads(p) == before && buffered > 0
         }
         p += 1
       }
@@ -101,7 +93,7 @@ object Sne {
         if (heap.nonEmpty) moveToCore(heap.popMin(), p)
         else {
           while (seedPos < seeds.length &&
-                 (core.get(seeds(seedPos)) || adj.get(seeds(seedPos)).forall(_.isEmpty)))
+                 (core.get(seeds(seedPos)) || adj(seeds(seedPos)).isEmpty))
             seedPos += 1
           if (seedPos >= seeds.length) done = true
           else moveToCore(seeds(seedPos), p)
@@ -114,49 +106,44 @@ object Sne {
       if (secondary.get(v)) secondary.clear(v)
       else secondaryWork(v, p, insertHeap = false)
       core.set(v)
-      val snapshot = adj.get(v).map(_.toArray).getOrElse(Array.empty[Long])
+      val snapshot = adj(v).toArray
       var i = 0
       while (i < snapshot.length) {
         val u = (snapshot(i) >>> 32).toInt
-        if (!core.get(u) && !secondary.get(u) && adj.contains(u)) {
-          secondaryWork(u, p, insertHeap = true)
-        }
+        if (!core.get(u) && !secondary.get(u)) secondaryWork(u, p, insertHeap = true)
         i += 1
       }
     }
 
     private def secondaryWork(v: Int, p: Int, insertHeap: Boolean): Unit = {
       var dext = 0
-      val snapshot = adj.get(v).map(_.toArray).getOrElse(Array.empty[Long])
+      val snapshot = adj(v).toArray
       var i = 0
       while (i < snapshot.length) {
         val u = (snapshot(i) >>> 32).toInt
         val eid = snapshot(i).toInt
-        if (pids(eid) < 0) {
-          if (core.get(u) || secondary.get(u)) {
-            pids(eid) = p; loads(p) += 1
-            removeFromAdj(v, eid); removeFromAdj(u, eid)
-            buffered -= 1
-            if (heap.contains(u)) heap.decrease(u)
-          } else dext += 1
-        }
+        if (core.get(u) || secondary.get(u)) {
+          pids(eid) = p; loads(p) += 1
+          removeFromAdj(v, eid); removeFromAdj(u, eid)
+          buffered -= 1
+          if (heap.contains(u)) heap.decrease(u)
+        } else dext += 1
         i += 1
       }
       secondary.set(v)
-      if (insertHeap && !heap.contains(v)) heap.insert(v, dext)
+      if (insertHeap) heap.insert(v, dext)
     }
 
     private def removeFromAdj(v: Int, eid: Int): Unit = {
-      adj.get(v).foreach { buf =>
-        var i = 0
-        while (i < buf.length) {
-          if (buf(i).toInt == eid) {
-            buf(i) = buf(buf.length - 1)
-            buf.remove(buf.length - 1)
-            return
-          }
-          i += 1
+      val buf = adj(v)
+      var i = 0
+      while (i < buf.length) {
+        if (buf(i).toInt == eid) {
+          buf(i) = buf(buf.length - 1)
+          buf.remove(buf.length - 1)
+          return
         }
+        i += 1
       }
     }
   }

@@ -6,8 +6,11 @@ package repro.core
   * @param pids             partition id per edge, aligned with
   *                         [[GraphData.src]]/[[GraphData.dst]] edge ids
   * @param partitionerName  human-readable algorithm name (e.g. "HEP-10")
-  * @param buildMillis      wall-clock partitioning time, including any
-  *                         graph-representation build the algorithm needs
+  * @param buildMillis      wall-clock partitioning time, read by
+  *                         [[EdgePartitioner.partition]] around the whole
+  *                         `compute` call (so including any graph-representation
+  *                         build the algorithm needs); 0 for a result built
+  *                         by hand
   * @param memoryModelBytes byte footprint of the algorithm's data structures
   *                         under the paper's Section 4.2 memory model, when
   *                         the algorithm reports one
@@ -16,7 +19,7 @@ final case class PartitionResult(
     k: Int,
     pids: Array[Int],
     partitionerName: String,
-    buildMillis: Long,
+    buildMillis: Long = 0L,
     memoryModelBytes: Option[Long] = None,
 )
 
@@ -26,13 +29,20 @@ final case class PartitionResult(
 trait EdgePartitioner {
   def name: String
 
-  /** Partition the `nE` edges of `g` into `k ≥ 1` parts (checked here). */
+  /** Partition the `nE` edges of `g` into `k ≥ 1` parts (checked here).
+    * This is the one place a partitioner run is timed: `buildMillis` is the
+    * wall-clock time of the `compute` call.
+    */
   final def partition(g: GraphData, k: Int): PartitionResult = {
     require(k >= 1, s"$name: k must be >= 1, got $k")
-    compute(g, k)
+    val t0 = System.nanoTime()
+    val res = compute(g, k)
+    res.copy(buildMillis = (System.nanoTime() - t0) / 1000000L)
   }
 
-  /** The algorithm behind [[partition]], called with `k ≥ 1`. */
+  /** The algorithm behind [[partition]], called with `k ≥ 1`. Returns the
+    * assignment (and the memory model, if any); [[partition]] sets the time.
+    */
   protected def compute(g: GraphData, k: Int): PartitionResult
 }
 

@@ -230,22 +230,21 @@ object TableHarness {
     * part of the footprint is always resident. The untraced baseline and the
     * traced run of each limit, with a fresh simulator per call, are timed by
     * [[warmMedian]]; fault and access counts are deterministic. Times are
-    * those of the whole `Hep.partitionDetailed` call, CSR build included.
+    * the `buildMillis` of whole `Hep.partition` calls, CSR build included.
     */
   def table6(spark: SparkSession, scale: Double): Table6 = {
     val sg = SynthGraphs.okProxy(spark, scale)
     val g = GraphData.fromDF(sg.df, sg.nV)
-    val hep = new Hep(100)
-    val (base, baseMs) = warmMedian(hep.partitionDetailed(g, K))(_.result.buildMillis)
-    val csrBytes = base.csr.memoryFootprintBytes(K)
+    val (base, baseMs) = warmMedian(new Hep(100).partition(g, K))(_.buildMillis)
+    val csrBytes = base.memoryModelBytes.get
     val fixedBytes = PrunedCsr.fixedFootprintBytes(g.nV, K)
     val rows = Seq(1.2, 0.8, 0.6, 0.4, 0.25, 0.15).map { f =>
       val limit = (csrBytes * f).toLong
       val pages = PagingSimulator.residentPagesFor(limit, fixedBytes)
       val ((_, sim), ms) = warmMedian {
         val sim = new PagingSimulator(pages)
-        (hep.partitionDetailed(g, K, sim), sim)
-      }(_._1.result.buildMillis)
+        (new Hep(100, sim).partition(g, K), sim)
+      }(_._1.buildMillis)
       T6Row(limit, sim.faults, sim.accesses, PagingSimulator.modelledRuntimeMs(ms, sim.faults))
     }
     Table6(sg.name, g, csrBytes, baseMs, rows)

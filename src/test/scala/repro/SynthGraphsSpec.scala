@@ -59,6 +59,21 @@ class SynthGraphsSpec extends SparkSpec {
     assert(a == b)
   }
 
+  test("generators do not depend on the session's default parallelism") {
+    val key = "spark.sql.leafNodeDefaultParallelism"
+    def edges(parallelism: Option[Int]) = {
+      val saved = spark.conf.getOption(key)
+      parallelism.foreach(spark.conf.set(key, _))
+      try Seq(SynthGraphs.powerLawGraph(spark, 500, 1500, seed = 110),
+          SynthGraphs.webGraph(spark, 600, 1500, seed = 111))
+        .map(_.orderBy("src", "dst").collect().toSeq)
+      finally saved.fold(spark.conf.unset(key))(spark.conf.set(key, _))
+    }
+    val unset = edges(None)
+    assert(edges(Some(2)) == unset)
+    assert(edges(Some(3)) == unset)
+  }
+
   test("different seeds give different graphs") {
     val a = SynthGraphs.powerLawGraph(spark, 500, 1500, seed = 108)
       .orderBy("src", "dst").collect().toSeq

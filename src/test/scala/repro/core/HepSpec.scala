@@ -30,7 +30,7 @@ class HepSpec extends SparkSpec {
   test("memory model shrinks as tau decreases") {
     val g = TestGraphs.powerLaw(400, 2500, gamma = 3.2, seed = 13)
     val mems = Seq(100.0, 2.0, 0.5).map { tau =>
-      new Hep(tau).partitionDetailed(g, 8).csr.memoryFootprintBytes(8)
+      new Hep(tau).partition(g, 8).memoryModelBytes.get
     }
     assert(mems(0) >= mems(1) && mems(1) >= mems(2))
     assert(mems(2) < mems(0), "tau=0.5 must actually prune on a power-law graph")
@@ -39,7 +39,7 @@ class HepSpec extends SparkSpec {
   test("lower tau diverts more edges to streaming") {
     val g = TestGraphs.powerLaw(400, 2500, gamma = 3.2, seed = 14)
     val h2h = Seq(100.0, 2.0, 0.5).map { tau =>
-      new Hep(tau).partitionDetailed(g, 4).csr.h2hEdgeIds.length
+      PrunedCsr.build(g, Some(tau)).h2hCount
     }
     assert(h2h(0) <= h2h(1) && h2h(1) <= h2h(2))
     assert(h2h(2) > h2h(0))
@@ -61,17 +61,12 @@ class HepSpec extends SparkSpec {
     assert(a.toSeq == b.toSeq)
   }
 
-  test("detailed result exposes consistent replicas") {
+  test("a tracer sees column accesses and leaves the assignment unchanged") {
     val g = TestGraphs.powerLaw(120, 500, gamma = 3.0, seed = 17)
-    val k = 4
-    val det = new Hep(1.0).partitionDetailed(g, k)
-    val expected = Array.fill(k)(new DenseBitset(g.nV))
-    (0 until g.nE).foreach { e =>
-      expected(det.result.pids(e)).set(g.src(e)); expected(det.result.pids(e)).set(g.dst(e))
-    }
-    (0 until k).foreach { p =>
-      assert(det.replicas(p).cardinality == expected(p).cardinality, s"partition $p")
-    }
+    var accesses = 0L
+    val traced = new Hep(1.0, (_: Int) => accesses += 1).partition(g, 4)
+    assert(traced.pids.toSeq == new Hep(1.0).partition(g, 4).pids.toSeq)
+    assert(accesses > 0)
   }
 
   test("replication factor agrees with the Spark/DuckDB metric pipeline") {
@@ -92,16 +87,14 @@ class HepSpec extends SparkSpec {
 
   test("works when no vertex qualifies as high-degree") {
     val g = TestGraphs.path(30) // uniform degree ⇒ tau=100 prunes nothing
-    val det = new Hep(100).partitionDetailed(g, 3)
-    assert(det.csr.h2hEdgeIds.isEmpty)
-    Partitioners.validate(g, det.result)
+    assert(PrunedCsr.build(g, Some(100)).h2hCount == 0)
+    Partitioners.validate(g, new Hep(100).partition(g, 3))
   }
 
   test("works when almost everything is h2h (tau far below 1)") {
     val g = TestGraphs.twoCliques(6) // uniform degree 5
-    val det = new Hep(0.1).partitionDetailed(g, 3)
-    assert(det.csr.h2hEdgeIds.length == g.nE, "all vertices high ⇒ all edges h2h")
-    Partitioners.validate(g, det.result)
+    assert(PrunedCsr.build(g, Some(0.1)).h2hCount == g.nE, "all vertices high ⇒ all edges h2h")
+    Partitioners.validate(g, new Hep(0.1).partition(g, 3))
   }
 
   test("k = 1 puts all edges in the single partition") {
