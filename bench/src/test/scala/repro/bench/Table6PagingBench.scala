@@ -12,34 +12,32 @@ import repro.harness.TableHarness
 class Table6PagingBench extends BenchBase {
 
   private lazy val table = TableHarness.table6(spark, benchScale)
-  private lazy val result = (table.rows, table.baseMs, table.csrBytes, table.g)
   private val k = TableHarness.K
 
   test("produce Table 6") {
-    val (rows, _, _, _) = result
+    val rows = table.rows
     printTable(table)
     assert(rows.length == 6)
   }
 
   test("hard faults increase monotonically as the limit shrinks") {
-    val (rows, _, _, _) = result
-    val faults = rows.map(_.faults)
+    val faults = table.rows.map(_.faults)
     assert(faults == faults.sorted, s"faults not monotone: $faults")
   }
 
   test("the tightest limit faults orders of magnitude more than the loosest") {
-    val (rows, _, _, _) = result
+    val rows = table.rows
     assert(rows.last.faults > rows.head.faults * 10,
       s"paging cliff too shallow: ${rows.head.faults} -> ${rows.last.faults}")
   }
 
   test("HEP at low tau fits a budget that pages NE++ (the paper's alternative)") {
-    val (rows, _, _, g) = result
+    val rows = table.rows
     // take a mid-sweep limit that causes paging at tau=100 ...
     val tight = rows(2).memLimitBytes
     assert(rows(2).faults > 0)
     // ... and show HEP at tau=1 fits it natively (zero faults by construction)
-    val hepBytes = repro.core.PrunedCsr.build(g, Some(1.0)).memoryFootprintBytes(k)
+    val hepBytes = repro.core.PrunedCsr.build(table.g, Some(1.0)).memoryFootprintBytes(k)
     assert(hepBytes <= tight,
       s"HEP tau=1 needs $hepBytes bytes, budget is $tight")
   }

@@ -54,12 +54,17 @@ object SynthGraphs {
     simplify(raw, targetE)
   }
 
-  /** Web-like graph: `1 - hubFrac` of the edges connect vertices at small id
-    * distance (≤ `window`), the rest point to a tiny hub layer.
+  /** Share of [[webGraph]]'s edges that point to its hub layer, and the
+    * layer's size.
+    */
+  private final val WebHubFrac = 0.10
+  private final val WebHubs = 40
+
+  /** Web-like graph: `1 - WebHubFrac` of the edges connect vertices at small
+    * id distance (≤ `window`), the rest point to a layer of `WebHubs` hubs.
     */
   def webGraph(spark: SparkSession, nVRaw: Int, targetE: Long,
-               window: Int = 12, hubFrac: Double = 0.10, nHubs: Int = 40,
-               seed: Long = 11): DataFrame = {
+               window: Int = 12, seed: Long = 11): DataFrame = {
     val rows = (targetE * 1.6).toLong
     val raw = spark.range(0, rows, 1, GeneratorSlices).select(
       floor(rand(seed) * nVRaw).cast("int").as("a"),
@@ -68,8 +73,8 @@ object SynthGraphs {
       rand(seed + 3).as("h"),
     ).select(
       col("a"),
-      when(col("u") < hubFrac,
-        floor(pow(col("h"), 2.5) * nHubs).cast("int"))
+      when(col("u") < WebHubFrac,
+        floor(pow(col("h"), 2.5) * WebHubs).cast("int"))
         .otherwise(pmod(col("a") + lit(1) + floor(col("w") * window), lit(nVRaw)).cast("int"))
         .as("b"),
     )

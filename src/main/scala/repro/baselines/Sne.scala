@@ -28,12 +28,13 @@ object Sne {
   final val SampleSize = 2
 
   /** One partitioning run; holds the buffered sub-graph as mutable adjacency
-    * lists of packed `(neighbour, edgeId)` entries.
+    * lists of packed `(neighbour, edgeId)` entries, indexed by vertex id and
+    * allocated on a vertex's first buffered edge.
     */
   private final class Run(g: GraphData, k: Int) {
     private val capacity: Long = (g.nE.toLong + k - 1) / k
     private val bufferCap: Long = SampleSize * capacity
-    private val adj = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Long]]
+    private val adj = new Array[mutable.ArrayBuffer[Long]](g.nV)
     private val pids = Array.fill(g.nE)(-1)
     private val loads = new Array[Long](k)
     private var buffered = 0L
@@ -50,15 +51,14 @@ object Sne {
         fillBuffer()
         // each carve starts on a non-empty buffer and assigns the edges of
         // its first seed, so every pass raises loads(p)
-        while (loads(p) < capacity && (buffered > 0 || streamPtr < g.nE)) {
-          if (buffered == 0) fillBuffer()
+        while (loads(p) < capacity && buffered > 0) {
           carve(p)
           fillBuffer()
         }
         p += 1
       }
       // tail: everything left goes to the last partition
-      adj.valuesIterator.foreach(_.foreach { packed =>
+      adj.foreach(list => if (list ne null) list.foreach { packed =>
         val eid = packed.toInt
         if (pids(eid) < 0) { pids(eid) = k - 1; loads(k - 1) += 1 }
       })
@@ -75,28 +75,32 @@ object Sne {
         val u = g.src(e); val v = g.dst(e)
         val fwd = (v.toLong << 32) | (e.toLong & 0xffffffffL)
         val bwd = (u.toLong << 32) | (e.toLong & 0xffffffffL)
-        adj.getOrElseUpdate(u, mutable.ArrayBuffer.empty) += fwd
-        adj.getOrElseUpdate(v, mutable.ArrayBuffer.empty) += bwd
+        listOf(u) += fwd
+        listOf(v) += bwd
         buffered += 1
         streamPtr += 1
       }
     }
 
+    private def listOf(v: Int): mutable.ArrayBuffer[Long] = {
+      if (adj(v) eq null) adj(v) = mutable.ArrayBuffer.empty
+      adj(v)
+    }
+
     /** Expand one partition out of the buffered sub-graph with the NE
       * heuristic (min external degree, fresh seeds by smallest buffered id).
+      * Lists only shrink within a carve, so the seed scan never revisits a
+      * vertex. It stops before `nV`: an unassigned buffered edge has an
+      * endpoint outside the core (an edge between two members of `C ∪ S` is
+      * assigned when the second one joins), and that endpoint's list holds it.
       */
     private def carve(p: Int): Unit = {
-      val seeds = adj.keysIterator.filter(v => adj(v).nonEmpty).toArray.sorted
-      var seedPos = 0
-      var done = false
-      while (!done && loads(p) < capacity && buffered > 0) {
+      var seed = 0
+      while (loads(p) < capacity && buffered > 0) {
         if (heap.nonEmpty) moveToCore(heap.popMin(), p)
         else {
-          while (seedPos < seeds.length &&
-                 (core.get(seeds(seedPos)) || adj(seeds(seedPos)).isEmpty))
-            seedPos += 1
-          if (seedPos >= seeds.length) done = true
-          else moveToCore(seeds(seedPos), p)
+          while (core.get(seed) || (adj(seed) eq null) || adj(seed).isEmpty) seed += 1
+          moveToCore(seed, p)
         }
       }
       core.clearAll(); secondary.clearAll(); heap.clear()

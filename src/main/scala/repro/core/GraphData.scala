@@ -12,8 +12,8 @@ import org.apache.spark.sql.DataFrame
   * left-hand side vertex", Section 3.2.3) even though the graph is undirected.
   * The list is expected to be simple: no self loops, each undirected edge
   * present exactly once (the generators in [[repro.SynthGraphs]] guarantee
-  * this and tests assert it). The constructor rejects ids outside `[0, nV)`
-  * and self loops; duplicate edges are not checked.
+  * this and tests assert it). The constructor rejects ids outside `[0, nV)`,
+  * self loops and an undirected edge given twice, as `(u, v)` or `(v, u)`.
   *
   * @param nV  number of vertices; ids are `[0, nV)`
   * @param src left endpoints, indexed by edge id
@@ -23,15 +23,31 @@ final class GraphData(val nV: Int, val src: Array[Int], val dst: Array[Int]) {
   require(nV >= 0, s"vertex count must be non-negative, got $nV")
   require(src.length == dst.length, "src/dst arrays must align")
   locally {
+    val keys = new Array[Long](src.length)
     var e = 0
     while (e < src.length) {
       val u = src(e); val v = dst(e)
       require(u >= 0 && u < nV && v >= 0 && v < nV,
         s"edge $e ($u, $v) has an endpoint outside the vertex range [0, $nV)")
       require(u != v, s"edge $e is a self loop ($u, $v); the edge list must be simple")
+      keys(e) = undirectedKey(e)
       e += 1
     }
+    java.util.Arrays.sort(keys)
+    var i = 1
+    while (i < keys.length) {
+      require(keys(i) != keys(i - 1), {
+        val Seq(a, b) = src.indices.filter(undirectedKey(_) == keys(i)).take(2)
+        s"edges $a (${src(a)}, ${dst(a)}) and $b (${src(b)}, ${dst(b)}) are the same " +
+          "undirected edge; the edge list must be simple"
+      })
+      i += 1
+    }
   }
+
+  /** `(min, max)` of edge `e`'s endpoints, packed into one `Long`. */
+  private def undirectedKey(e: Int): Long =
+    (math.min(src(e), dst(e)).toLong << 32) | math.max(src(e), dst(e))
 
   /** Number of edges. */
   val nE: Int = src.length

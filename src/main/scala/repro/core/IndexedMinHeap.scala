@@ -40,7 +40,12 @@ final class IndexedMinHeap(val capacity: Int) {
   def popMin(): Int = {
     require(count > 0, "popMin on empty heap")
     val top = heapIds(0)
-    removeAt(0)
+    posOf(top) = -1
+    count -= 1
+    if (count > 0) {
+      heapIds(0) = heapIds(count); keys(0) = keys(count); posOf(heapIds(0)) = 0
+      siftDown(0)
+    }
     top
   }
 
@@ -49,16 +54,6 @@ final class IndexedMinHeap(val capacity: Int) {
     var i = 0
     while (i < count) { posOf(heapIds(i)) = -1; i += 1 }
     count = 0
-  }
-
-  private def removeAt(p: Int): Unit = {
-    posOf(heapIds(p)) = -1
-    count -= 1
-    if (p != count) {
-      heapIds(p) = heapIds(count); keys(p) = keys(count); posOf(heapIds(p)) = p
-      // the moved element can need to travel either direction
-      siftDown(p); siftUp(p)
-    }
   }
 
   private def swap(a: Int, b: Int): Unit = {

@@ -37,9 +37,11 @@ object EdgeRemoval {
   * every "is `u` in `C ∪ S_i ∪ V_h`" test with one load, and the expansion,
   * secondary-scan and clean-up kernels walk the CSR's neighbour column
   * directly over loop-local bounds, reading the edge-id column only for
-  * entries they assign or move. Every column entry they read or move is
-  * reported to `csr.tracer`, as [[PrunedCsr.nbrAt]] and
-  * [[PrunedCsr.removeOutAt]] would. Expansion assignments reach `pids`
+  * entries they assign or move. The kernels report column accesses to
+  * `csr.tracer` (Table 6's paging model): one report per column entry read,
+  * its neighbour and edge id together, and two more per swap-removal, for
+  * the removed entry and the region's last entry that replaces it.
+  * Expansion assignments reach `pids`
   * through a small write-back buffer, flushed when full and after every
   * partition: `pids` is indexed by input edge id, so each write is a random
   * access, and a batch of them overlaps the cache misses that one write per

@@ -35,6 +35,10 @@ trait AccessTracer {
   *
   * The column length is an `Int`: [[PrunedCsr.build]] rejects graphs whose
   * low-degree adjacency exceeds the largest JVM array.
+  *
+  * The layout arrays are `private[core]`. After the build, [[NePlusPlus]]'s
+  * kernels are the only code that reads or swap-removes column entries, and
+  * they report each access to [[tracer]].
   */
 final class PrunedCsr private (
     val g: GraphData,
@@ -84,53 +88,8 @@ final class PrunedCsr private (
     */
   def colLength: Int = nbr.length
 
-  // -- region accessors ------------------------------------------------------
-
-  def outStart(v: Int): Int = blockStart(v)
-  def outSize(v: Int): Int = outSizeArr(v)
-  def inStart(v: Int): Int = blockStart(v) + outCap(v)
-  def inSize(v: Int): Int = inSizeArr(v)
-
   /** Remaining (valid, unremoved) adjacency entries of `v`. */
   def validDegree(v: Int): Int = outSizeArr(v) + inSizeArr(v)
-
-  /** Neighbour id stored at absolute column index `i`. */
-  def nbrAt(i: Int): Int = {
-    if (tracer ne null) tracer.onAccess(i)
-    nbr(i)
-  }
-
-  /** Edge id stored at absolute column index `i` (no second tracer report —
-    * an entry read is one logical access).
-    */
-  def eidAt(i: Int): Int = eid(i)
-
-  // -- lazy removal ----------------------------------------------------------
-
-  /** Swap-remove the out-entry at absolute index `i` of vertex `v`. */
-  def removeOutAt(v: Int, i: Int): Unit = {
-    val last = blockStart(v) + outSizeArr(v) - 1
-    require(i >= blockStart(v) && i <= last, s"out index $i invalid for vertex $v")
-    if (tracer ne null) { tracer.onAccess(i); tracer.onAccess(last) }
-    moveEntry(last, i)
-    outSizeArr(v) -= 1
-  }
-
-  /** Swap-remove the in-entry at absolute index `i` of vertex `v`. */
-  def removeInAt(v: Int, i: Int): Unit = {
-    val st = inStart(v)
-    val last = st + inSizeArr(v) - 1
-    require(i >= st && i <= last, s"in index $i invalid for vertex $v")
-    if (tracer ne null) { tracer.onAccess(i); tracer.onAccess(last) }
-    moveEntry(last, i)
-    inSizeArr(v) -= 1
-  }
-
-  /** Copy the entry at `from` over the one at `to` (no tracer report). */
-  private def moveEntry(from: Int, to: Int): Unit = {
-    nbr(to) = nbr(from)
-    eid(to) = eid(from)
-  }
 
   // -- memory model ----------------------------------------------------------
 

@@ -74,6 +74,17 @@ class GraphDataSpec extends SparkSpec {
     assert(GraphData.fromEdges(5, edges.filter { case (u, v) => u != v }).nE == 5)
   }
 
+  test("an undirected edge given twice is rejected with a message naming both edges") {
+    for ((edges, named) <- Seq(
+        (Seq((0, 1), (1, 2), (0, 1)), "edges 0 (0, 1) and 2 (0, 1)"),
+        (Seq((0, 1), (2, 3), (3, 2)), "edges 1 (2, 3) and 2 (3, 2)"),
+        (Seq((1, 0), (0, 1), (1, 0)), "edges 0 (1, 0) and 1 (0, 1)"))) {
+      val err = intercept[IllegalArgumentException](GraphData.fromEdges(4, edges))
+      assert(err.getMessage.contains(named) && err.getMessage.contains("same undirected edge"), err.getMessage)
+    }
+    assert(GraphData.fromEdges(4, Seq((0, 1), (1, 2), (0, 2), (2, 3))).nE == 4)
+  }
+
   test("an id outside [0, nV) is rejected with a message naming the edge") {
     for ((src, dst, named) <- Seq(
         (Array(0, 1, 2), Array(1, 2, 7), "edge 2 (2, 7)"),

@@ -100,7 +100,7 @@ class InformedStreamingEquivalenceSpec extends AnyFunSuite {
   // 1e-3 makes every edge h2h; 1e3 leaves none, so nothing is streamed
   private val taus = Seq(1e-3, 0.3, 1.0, 3.0, 1e3)
 
-  test("cold streams match the full scan on every (graph, k, alpha)") {
+  test("cold streams match the full scan on every graph and k") {
     for ((name, g) <- graphs; k <- ks) {
       val order = new Random(k * 31 + g.nE).shuffle((0 until g.nE).toVector).toArray
       assertSame(g, k, empty(g, k), order, s"cold $name k=$k")
@@ -110,7 +110,7 @@ class InformedStreamingEquivalenceSpec extends AnyFunSuite {
   // run(csr) gathers h2h ids block by block; this graph spans several blocks
   private val multiBlock = "multi-block" -> TestGraphs.powerLaw(3000, 13000, gamma = 2.5, seed = 309)
 
-  test("NE++-seeded streams match the full scan on every (graph, k, tau, alpha)") {
+  test("NE++-seeded streams match the full scan") {
     assert(multiBlock._2.nE > 2 * InformedStreaming.GatherBlock)
     for ((name, g) <- graphs :+ multiBlock; k <- ks; tau <- taus) {
       val csr = PrunedCsr.build(g, Some(tau))
@@ -132,7 +132,7 @@ class InformedStreamingEquivalenceSpec extends AnyFunSuite {
     assert(s.pids.forall(_ < 0) && s.loads.forall(_ == 0L))
   }
 
-  test("random preset state with many load ties matches the full scan, across lambda") {
+  test("random tied preset state matches the full scan") {
     val g = TestGraphs.powerLaw(300, 1500, gamma = 2.0, seed = 303)
     val rnd = new Random(304)
     for (k <- ks; round <- 0 until 2) {

@@ -6,7 +6,8 @@ import scala.collection.mutable.ArrayBuffer
 
 /** `NePlusPlus` runs flat kernels over a per-vertex state array and the
   * CSR's raw columns. These tests hold it to the lazy NE++ loop it replaced,
-  * a frozen copy written against the public `PrunedCsr` API: identical
+  * a frozen copy that reads and swap-removes entries through [[CsrView]],
+  * which reports accesses by the engine's rule: identical
   * `pids`, `loads`, replica sets, core set, counters, remaining column
   * regions of every non-core vertex, and tracer reports, on a grid of
   * graphs, `k` and `tau`.
@@ -21,6 +22,7 @@ class NePlusPlusEquivalenceSpec extends AnyFunSuite {
   private final class Oracle(csr: PrunedCsr, k: Int, val pids: Array[Int], val loads: Array[Long],
                              val replicas: Array[DenseBitset], counter: Counter) {
     private val g = csr.g
+    private val col = new CsrView(csr)
     val core = new DenseBitset(g.nV)
     private val secondary = new DenseBitset(g.nV)
     private val members = new ArrayBuffer[Int]()
@@ -71,10 +73,10 @@ class NePlusPlusEquivalenceSpec extends AnyFunSuite {
       if (secondary.get(v)) secondary.clear(v)
       else secondaryWork(v, i, insertHeap = false)
       core.set(v)
-      var idx = csr.outStart(v); var end = idx + csr.outSize(v)
-      while (idx < end) { coreNeighbour(csr.nbrAt(idx), i); idx += 1 }
-      idx = csr.inStart(v); end = idx + csr.inSize(v)
-      while (idx < end) { coreNeighbour(csr.nbrAt(idx), i); idx += 1 }
+      var idx = col.outStart(v); var end = idx + col.outSize(v)
+      while (idx < end) { coreNeighbour(col.nbrAt(idx), i); idx += 1 }
+      idx = col.inStart(v); end = idx + col.inSize(v)
+      while (idx < end) { coreNeighbour(col.nbrAt(idx), i); idx += 1 }
     }
 
     private def coreNeighbour(u: Int, i: Int): Unit =
@@ -82,10 +84,10 @@ class NePlusPlusEquivalenceSpec extends AnyFunSuite {
 
     private def secondaryWork(v: Int, i: Int, insertHeap: Boolean): Unit = {
       var dext = 0
-      var idx = csr.outStart(v); var end = idx + csr.outSize(v)
-      while (idx < end) { dext += secondaryEntry(v, csr.nbrAt(idx), csr.eidAt(idx), i); idx += 1 }
-      idx = csr.inStart(v); end = idx + csr.inSize(v)
-      while (idx < end) { dext += secondaryEntry(v, csr.nbrAt(idx), csr.eidAt(idx), i); idx += 1 }
+      var idx = col.outStart(v); var end = idx + col.outSize(v)
+      while (idx < end) { dext += secondaryEntry(v, col.nbrAt(idx), col.eidAt(idx), i); idx += 1 }
+      idx = col.inStart(v); end = idx + col.inSize(v)
+      while (idx < end) { dext += secondaryEntry(v, col.nbrAt(idx), col.eidAt(idx), i); idx += 1 }
       secondary.set(v)
       members += v
       if (insertHeap) heap.insert(v, dext)
@@ -113,16 +115,16 @@ class NePlusPlusEquivalenceSpec extends AnyFunSuite {
     private def cleanUp(): Unit = {
       for (v <- members if secondary.get(v)) {
         val before = counter.accesses
-        var idx = csr.outStart(v)
-        while (idx < csr.outStart(v) + csr.outSize(v)) {
-          val u = csr.nbrAt(idx)
-          if (core.get(u) || secondary.get(u) || csr.isHigh(u)) csr.removeOutAt(v, idx)
+        var idx = col.outStart(v)
+        while (idx < col.outStart(v) + col.outSize(v)) {
+          val u = col.nbrAt(idx)
+          if (core.get(u) || secondary.get(u) || csr.isHigh(u)) col.removeOutAt(v, idx)
           else idx += 1
         }
-        idx = csr.inStart(v)
-        while (idx < csr.inStart(v) + csr.inSize(v)) {
-          val u = csr.nbrAt(idx)
-          if (core.get(u) || secondary.get(u) || csr.isHigh(u)) csr.removeInAt(v, idx)
+        idx = col.inStart(v)
+        while (idx < col.inStart(v) + col.inSize(v)) {
+          val u = col.nbrAt(idx)
+          if (core.get(u) || secondary.get(u) || csr.isHigh(u)) col.removeInAt(v, idx)
           else idx += 1
         }
         if (core.get(v)) seedCleanupAccesses += counter.accesses - before
@@ -137,11 +139,11 @@ class NePlusPlusEquivalenceSpec extends AnyFunSuite {
 
     private def assignRemaining(last: Int): Unit = {
       for (v <- 0 until g.nV if !core.get(v) && !csr.isHigh(v)) {
-        var idx = csr.outStart(v); var end = idx + csr.outSize(v)
-        while (idx < end) { assignLast(csr.eidAt(idx), v, csr.nbrAt(idx), last); idx += 1 }
-        idx = csr.inStart(v); end = idx + csr.inSize(v)
+        var idx = col.outStart(v); var end = idx + col.outSize(v)
+        while (idx < end) { assignLast(col.eidAt(idx), v, col.nbrAt(idx), last); idx += 1 }
+        idx = col.inStart(v); end = idx + col.inSize(v)
         while (idx < end) {
-          val u = csr.nbrAt(idx); val eid = csr.eidAt(idx)
+          val u = col.nbrAt(idx); val eid = col.eidAt(idx)
           if (csr.isHigh(u)) assignLast(eid, v, u, last)
           idx += 1
         }
@@ -161,11 +163,6 @@ class NePlusPlusEquivalenceSpec extends AnyFunSuite {
   private final class Counter extends AccessTracer {
     var accesses = 0L
     override def onAccess(entryIndex: Int): Unit = accesses += 1
-  }
-
-  private def regions(csr: PrunedCsr, v: Int): (Seq[(Int, Int)], Seq[(Int, Int)]) = {
-    def entries(from: Int, size: Int) = (from until from + size).map(i => (csr.nbrAt(i), csr.eidAt(i)))
-    (entries(csr.outStart(v), csr.outSize(v)), entries(csr.inStart(v), csr.inSize(v)))
   }
 
   /** Run both on fresh CSRs of `g`; assert identical results. */
@@ -198,10 +195,9 @@ class NePlusPlusEquivalenceSpec extends AnyFunSuite {
     assert(engine.spilledEdges == oracle.spilled, s"spill count differs: $label")
     assert(counter.accesses == expectedCounter.accesses - oracle.seedCleanupAccesses,
       s"tracer reports differ beyond the seeds' clean-up: $label")
-    csr.tracer = null
-    expectedCsr.tracer = null
+    val (actualCol, expectedCol) = (new CsrView(csr), new CsrView(expectedCsr))
     (0 until g.nV).filterNot(oracle.core.get).foreach { v =>
-      assert(regions(csr, v) == regions(expectedCsr, v), s"column regions of vertex $v differ: $label")
+      assert(actualCol.regions(v) == expectedCol.regions(v), s"column regions of vertex $v differ: $label")
     }
   }
 

@@ -7,7 +7,9 @@ import repro.harness.TableHarness
 
 /** The `k ≥ 1` contract of [[EdgePartitioner.partition]]: every partitioner
   * rejects any other `k` with an `IllegalArgumentException` naming it, on a
-  * small graph and on the empty graph alike, before its algorithm runs.
+  * small graph and on the empty graph alike, before its algorithm runs. Every
+  * partitioner is total on the contract's edge cases: k > |E|, isolated
+  * vertices, and for the hybrids τ → 0.
   */
 class PartitionerContractSpec extends AnyFunSuite {
 
@@ -35,6 +37,27 @@ class PartitionerContractSpec extends AnyFunSuite {
       Partitioners.validate(g, res)
       assert(res.k == 1 && res.pids.forall(_ == 0), algo.name)
     }
+  }
+
+  private def assertValidEverywhere(g: GraphData, k: Int, algos: Seq[EdgePartitioner] = partitioners): Unit =
+    algos.foreach(algo => Partitioners.validate(g, algo.partition(g, k)))
+
+  test("k > |E| is accepted everywhere") {
+    assertValidEverywhere(GraphData.fromEdges(5, Seq((0, 1), (1, 2), (3, 4))), 7)
+  }
+
+  test("a graph with isolated vertices is accepted everywhere") {
+    // edges only between odd ids: every even vertex is isolated
+    val base = TestGraphs.powerLaw(60, 150, gamma = 2.5, seed = 502)
+    val g = GraphData.fromEdges(121, (0 until base.nE).map(e => (2 * base.src(e) + 1, 2 * base.dst(e) + 1)))
+    assert(g.degrees.count(_ == 0) > 60)
+    for (k <- Seq(2, 7)) assertValidEverywhere(g, k)
+  }
+
+  test("tau -> 0 makes every edge h2h, and the hybrids still partition it") {
+    val g = graphs.head._2
+    assert(PrunedCsr.build(g, Some(1e-3)).h2hCount == g.nE)
+    for (k <- Seq(2, 7)) assertValidEverywhere(g, k, Seq(new Hep(1e-3), new SimpleHybrid(1e-3)))
   }
 
   test("Hep and SimpleHybrid name tau the same way") {

@@ -5,14 +5,6 @@ import repro.TestGraphs
 
 class PrunedCsrSpec extends AnyFunSuite {
 
-  private def entriesOf(csr: PrunedCsr, v: Int): (Seq[(Int, Int)], Seq[(Int, Int)]) = {
-    val out = (csr.outStart(v) until csr.outStart(v) + csr.outSize(v))
-      .map(i => (csr.nbrAt(i), csr.eidAt(i)))
-    val in = (csr.inStart(v) until csr.inStart(v) + csr.inSize(v))
-      .map(i => (csr.nbrAt(i), csr.eidAt(i)))
-    (out, in)
-  }
-
   test("paper Figure 4: high-degree classification at tau = 1.5") {
     val g = TestGraphs.figure4
     val csr = PrunedCsr.build(g, Some(1.5))
@@ -58,7 +50,7 @@ class PrunedCsrSpec extends AnyFunSuite {
     // edges: 0->1, 2->0, 0->3
     val g = GraphData.fromEdges(4, Seq((0, 1), (2, 0), (0, 3)))
     val csr = PrunedCsr.build(g, None)
-    val (out0, in0) = entriesOf(csr, 0)
+    val (out0, in0) = new CsrView(csr).regions(0)
     assert(out0.map(_._1).sorted == Seq(1, 3))
     assert(in0.map(_._1) == Seq(2))
     assert(out0.map(_._2).sorted == Seq(0, 2) && in0.map(_._2) == Seq(1))
@@ -67,7 +59,7 @@ class PrunedCsrSpec extends AnyFunSuite {
   test("adjacency of a low vertex includes its high neighbours") {
     val g = TestGraphs.figure4
     val csr = PrunedCsr.build(g, Some(1.5))
-    val (out0, in0) = entriesOf(csr, 0)
+    val (out0, in0) = new CsrView(csr).regions(0)
     // vertex 0 has edges (4,0) [in from high 4] and (0,7) [out to 7]
     assert(in0.map(_._1) == Seq(4))
     assert(out0.map(_._1) == Seq(7))
@@ -75,7 +67,8 @@ class PrunedCsrSpec extends AnyFunSuite {
 
   test("high vertices have empty regions") {
     val csr = PrunedCsr.build(TestGraphs.figure4, Some(1.5))
-    assert(csr.outSize(4) == 0 && csr.inSize(4) == 0 && csr.validDegree(5) == 0)
+    val col = new CsrView(csr)
+    assert(col.outSize(4) == 0 && col.inSize(4) == 0 && csr.validDegree(5) == 0)
   }
 
   test("colLength equals the sum of low-degree vertex degrees") {
@@ -90,8 +83,9 @@ class PrunedCsrSpec extends AnyFunSuite {
     val csr = PrunedCsr.build(g, Some(1.0))
     val h2h = csr.h2hEdgeIds.toSet
     val appearances = scala.collection.mutable.Map.empty[Int, Int].withDefaultValue(0)
+    val col = new CsrView(csr)
     (0 until g.nV).foreach { v =>
-      val (out, in) = entriesOf(csr, v)
+      val (out, in) = col.regions(v)
       (out ++ in).foreach { case (_, eid) => appearances(eid) += 1 }
     }
     (0 until g.nE).foreach { e =>
@@ -100,32 +94,6 @@ class PrunedCsrSpec extends AnyFunSuite {
         else Seq(g.src(e), g.dst(e)).count(v => !csr.isHigh(v))
       assert(appearances(e) == expected, s"edge $e")
     }
-  }
-
-  test("swap-removal from the out region keeps the remaining entries") {
-    val g = GraphData.fromEdges(4, Seq((0, 1), (0, 2), (0, 3)))
-    val csr = PrunedCsr.build(g, None)
-    val victim = csr.outStart(0) // remove first out entry of vertex 0
-    val removedNbr = csr.nbrAt(victim)
-    csr.removeOutAt(0, victim)
-    assert(csr.outSize(0) == 2)
-    val (out0, _) = entriesOf(csr, 0)
-    assert(out0.map(_._1).toSet == Set(1, 2, 3) - removedNbr)
-  }
-
-  test("swap-removal from the in region is independent of the out region") {
-    val g = GraphData.fromEdges(3, Seq((0, 2), (1, 2)))
-    val csr = PrunedCsr.build(g, None)
-    csr.removeInAt(2, csr.inStart(2))
-    assert(csr.inSize(2) == 1 && csr.outSize(2) == 0)
-    assert(csr.validDegree(2) == 1)
-  }
-
-  test("removal outside the valid region is rejected") {
-    val g = GraphData.fromEdges(3, Seq((0, 1), (0, 2)))
-    val csr = PrunedCsr.build(g, None)
-    intercept[IllegalArgumentException](csr.removeOutAt(0, csr.outStart(0) + 5))
-    intercept[IllegalArgumentException](csr.removeInAt(1, csr.inStart(1) + 3))
   }
 
   test("memory model: paper Section 4.2 formula") {
@@ -144,17 +112,6 @@ class PrunedCsrSpec extends AnyFunSuite {
     assert(m1 < mInf)
     assert(m100 <= mInf)
     assert(m1 <= m100)
-  }
-
-  test("tracer observes column accesses and removals") {
-    val g = GraphData.fromEdges(3, Seq((0, 1), (0, 2)))
-    val csr = PrunedCsr.build(g, None)
-    var hits = 0
-    csr.tracer = (_: Int) => hits += 1
-    csr.nbrAt(csr.outStart(0))
-    assert(hits == 1)
-    csr.removeOutAt(0, csr.outStart(0))
-    assert(hits == 3) // removal touches victim and last entry
   }
 
   test("block offsets are summed in 64 bits and a column past the JVM array limit is rejected") {
