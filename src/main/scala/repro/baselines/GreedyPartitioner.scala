@@ -37,11 +37,7 @@ final class GreedyPartitioner extends EdgePartitioner {
         }
         p += 1
       }
-      var target = if (bestBoth >= 0) bestBoth else if (bestAny >= 0) bestAny else bestFree
-      if (target < 0) { // all partitions at capacity: least loaded overall
-        var q = 0
-        while (q < k) { if (target < 0 || loads(q) < loads(target)) target = q; q += 1 }
-      }
+      val target = if (bestBoth >= 0) bestBoth else if (bestAny >= 0) bestAny else bestFree
       pids(e) = target
       loads(target) += 1
       replicas(target).set(u)

@@ -44,10 +44,6 @@ final class Hdrf extends EdgePartitioner {
         }
         p += 1
       }
-      if (best < 0) {
-        var q = 0
-        while (q < k) { if (best < 0 || loads(q) < loads(best)) best = q; q += 1 }
-      }
       pids(e) = best
       loads(best) += 1
       replicas(best).set(u)

@@ -178,11 +178,7 @@ object NeBaseline {
             val eid = adj(idx)
             // each remaining edge is visited from both endpoints; the
             // validity flag makes the second visit a no-op
-            if (pids(eid) < 0) {
-              pids(eid) = last
-              loads(last) += 1
-              assigned += 1
-            }
+            if (pids(eid) < 0) assignEdge(eid, last)
             idx += 1
           }
         }

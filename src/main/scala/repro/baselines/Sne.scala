@@ -57,15 +57,10 @@ object Sne {
         }
         p += 1
       }
-      // tail: everything left goes to the last partition
-      adj.foreach(list => if (list ne null) list.foreach { packed =>
-        val eid = packed.toInt
-        if (pids(eid) < 0) { pids(eid) = k - 1; loads(k - 1) += 1 }
-      })
-      while (streamPtr < g.nE) {
-        if (pids(streamPtr) < 0) { pids(streamPtr) = k - 1; loads(k - 1) += 1 }
-        streamPtr += 1
-      }
+      // tail: every unassigned edge, buffered or unread, goes to the last
+      // partition
+      var e = 0
+      while (e < g.nE) { if (pids(e) < 0) pids(e) = k - 1; e += 1 }
       pids
     }
 

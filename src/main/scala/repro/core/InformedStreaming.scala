@@ -110,7 +110,8 @@ final class InformedStreaming(
   private var fallbacks = 0L
 
   /** Edges placed by the all-full fallback (every partition at capacity),
-    * summed over all [[run]] calls.
+    * summed over all [[run]] calls. Zero while `loads` count only edges of
+    * `g`, as on HEP's path (see [[Partitioners.capacity]]).
     */
   def allFullFallbacks: Long = fallbacks
 

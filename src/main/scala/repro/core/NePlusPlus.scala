@@ -41,12 +41,13 @@ object EdgeRemoval {
   * `csr.tracer` (Table 6's paging model): one report per column entry read,
   * its neighbour and edge id together, and two more per swap-removal, for
   * the removed entry and the region's last entry that replaces it.
-  * Expansion assignments reach `pids`
-  * through a small write-back buffer, flushed when full and after every
-  * partition: `pids` is indexed by input edge id, so each write is a random
-  * access, and a batch of them overlaps the cache misses that one write per
-  * assignment would wait for inside the kernels. The double-assignment
-  * check runs on write-back; loads and replica sets are updated at once.
+  * Every assignment, the last partition's included, goes through
+  * `assignEdge` and reaches `pids` through a small write-back buffer,
+  * flushed when full and after every partition: `pids` is indexed by input
+  * edge id, so each write is a random access, and a batch of them overlaps
+  * the cache misses that one write per assignment would wait for inside the
+  * kernels. The double-assignment check runs on write-back; loads and
+  * replica sets are updated at once.
   *
   * The engine mutates `pids`, `loads` and `replicas` in place so that the
   * streaming phase continues from the same state (Section 3.3).
@@ -216,7 +217,8 @@ final class NePlusPlus(
   }
 
   /** Assign with cascading spill-over past full partitions (Algorithm 1,
-    * lines 26–28). The `pids` entry is written by [[writeBack]].
+    * lines 26–28); the last partition never spills. The `pids` entry is
+    * written by [[writeBack]].
     */
   private def assignEdge(e: Int, a: Int, b: Int, i: Int): Unit = {
     var p = i
@@ -307,7 +309,7 @@ final class NePlusPlus(
         var idx = blockStart(v); var end = idx + outSize(v)
         while (idx < end) {
           if (tracer ne null) tracer.onAccess(idx)
-          assignLast(eid(idx), v, nbr(idx), last)
+          assignEdge(eid(idx), v, nbr(idx), last)
           idx += 1
         }
         idx = blockStart(v) + outCap(v); end = idx + inSize(v)
@@ -316,21 +318,13 @@ final class NePlusPlus(
           val u = nbr(idx)
           // low/low in-entries are covered from the neighbour's out-list;
           // low/high edges exist only on this (low) side.
-          if (state(u) == High) assignLast(eid(idx), v, u, last)
+          if (state(u) == High) assignEdge(eid(idx), v, u, last)
           idx += 1
         }
       }
       v += 1
     }
-  }
-
-  private def assignLast(e: Int, a: Int, b: Int, last: Int): Unit = {
-    require(pids(e) < 0, s"double assignment of edge $e in last partition")
-    pids(e) = last
-    loads(last) += 1
-    assigned += 1
-    replicas(last).set(a)
-    replicas(last).set(b)
+    writeBack()
   }
 }
 

@@ -53,7 +53,15 @@ object Partitioners {
     */
   final val Alpha = 1.05
 
-  /** Edge capacity of one of `k` partitions, `ceil(α * |E| / k)`. */
+  /** Edge capacity of one of `k` partitions, `ceil(α * |E| / k)`.
+    *
+    * Together the partitions hold `k * capacity >= α * |E| > |E|` edges. A
+    * streamer that starts from empty loads has placed `e < |E|` edges before
+    * edge `e`, so some partition is always below capacity: HDRF and Greedy
+    * need no all-full fallback. `InformedStreaming` and
+    * `RandomStreaming.place` keep theirs, as they take loads their caller
+    * has already filled.
+    */
   def capacity(g: GraphData, k: Int): Long = math.ceil(Alpha * g.nE / k.toDouble).toLong
 
   /** Validity check used by every test: each edge assigned exactly once to a

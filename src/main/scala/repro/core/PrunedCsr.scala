@@ -22,8 +22,8 @@ trait AccessTracer {
   * edge file, `E_h2h` costs no partitioner memory: the build keeps only
   * their number, [[h2hCount]], and the streaming phase reads them from the
   * input edge list itself (`InformedStreaming.run(csr)`).
-  * [[h2hEdgeIds]] lists their ids for callers that want them explicitly; it
-  * is built on first access. `tau = None` disables pruning.
+  * [[h2hEdgeIds]] lists their ids for callers that want them explicitly,
+  * scanning the edge list on each call. `tau = None` disables pruning.
   *
   * The column is two parallel `Int` arrays: `nbr`, the paper's 4-byte
   * (b_id = 4) neighbour-id column, and `eid`, the edge id of the same entry,
@@ -65,14 +65,9 @@ final class PrunedCsr private (
   def inMemEdgeCount: Int = g.nE - h2hCount
 
   /** Ids of the h2h edges in ascending order, collected from the input edge
-    * list on first access.
+    * list on each call.
     */
-  lazy val h2hEdgeIds: Array[Int] = collectH2h()
-
-  // The scan sits outside the lazy initializer, which runs under a lock: there
-  // the JIT left the loop uncompiled, about 170 ms per call on OK-proxy
-  // against 2 ms here.
-  private def collectH2h(): Array[Int] = {
+  def h2hEdgeIds: Array[Int] = {
     val ids = new Array[Int](h2hCount)
     var h = 0
     var e = 0

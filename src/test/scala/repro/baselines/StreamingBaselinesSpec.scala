@@ -111,10 +111,19 @@ class StreamingBaselinesSpec extends AnyFunSuite with PropHelper {
     assert(rfH < rfR, s"HDRF $rfH vs Random $rfR")
   }
 
+  // HDRF and Greedy have no all-full fallback: from empty loads some
+  // partition is always below capacity (see Partitioners.capacity)
   test("Random streaming respects the balancing capacity") {
     val g = TestGraphs.random(100, 500, seed = 46)
-    val res = new RandomStreaming().partition(g, 7)
-    assert(Partitioners.alpha(res) <= 1.05 + 7.0 / g.nE + 0.05)
+    val capped = Seq(() => new RandomStreaming(), () => new Hdrf(), () => new GreedyPartitioner())
+    for (mk <- capped; k <- Seq(1, 2, 7, 32, g.nE + 3)) {
+      val res = mk().partition(g, k)
+      Partitioners.validate(g, res)
+      val cap = Partitioners.capacity(g, k)
+      assert(Partitioners.loads(res).forall(_ <= cap), s"${res.partitionerName} k=$k cap=$cap")
+      assert(Partitioners.alpha(res) <= 1.05 + k.toDouble / g.nE + 0.05,
+        s"${res.partitionerName} k=$k")
+    }
   }
 
   test("property: all streaming baselines valid on arbitrary graphs") {
