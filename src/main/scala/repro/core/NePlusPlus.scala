@@ -96,6 +96,7 @@ final class NePlusPlus(
   private var cores = 0
   private var seeds = 0L
   private var spilled = 0L
+  private var parallelRounds = 0
 
   /** Vertices moved to the core set (exposed for tests/diagnostics). */
   def coreSize: Int = cores
@@ -107,6 +108,9 @@ final class NePlusPlus(
     * because it had reached [[capacity]].
     */
   def spilledEdges: Long = spilled
+
+  /** Clean-up rounds split across the [[Workers]]. */
+  def parallelCleanUps: Int = parallelRounds
 
   /** Run the complete in-memory phase. */
   def run(): Unit = {
@@ -252,10 +256,45 @@ final class NePlusPlus(
 
   /** Clean the lists of the members still in `S_i`. Members now in the core,
     * seeds included, are skipped: no later step reads a core vertex's lists.
+    *
+    * Each member's clean-up swap-removes entries inside its own column
+    * block and size fields, and only reads `state`, so members can be
+    * cleaned in any order and at once: a round with at least
+    * [[Workers.MinParallelWork]] valid entries to scan is cleaned by the
+    * [[Workers]], in chunks of members handed out as workers become free.
+    * With a tracer attached the round stays on the calling thread, so the
+    * tracer sees the accesses in the sequential order.
     */
   private def cleanUp(): Unit = {
+    if ((csr.tracer eq null) && cleanUpWork() >= Workers.MinParallelWork) {
+      parallelRounds += 1
+      cleanChunks = math.min(memberCount, Workers.count * ChunksPerWorker)
+      Workers.run(cleanChunks)(cleanChunk)
+    } else cleanMembers(0, memberCount)
+  }
+
+  /** Valid entries of the members still in `S_i`: what [[cleanUp]] scans. */
+  private def cleanUpWork(): Long = {
+    var work = 0L
     var m = 0
     while (m < memberCount) {
+      val v = members(m)
+      if (state(v) == Secondary) work += outSize(v) + inSize(v)
+      m += 1
+    }
+    work
+  }
+
+  /** Chunks of the current parallel clean-up round. */
+  private var cleanChunks = 0
+  /** Cleans chunk `c` of `cleanChunks` equal slices of `members`. */
+  private val cleanChunk: Int => Unit = c =>
+    cleanMembers((c.toLong * memberCount / cleanChunks).toInt,
+      ((c + 1).toLong * memberCount / cleanChunks).toInt)
+
+  private def cleanMembers(from: Int, until: Int): Unit = {
+    var m = from
+    while (m < until) {
       val v = members(m)
       if (state(v) == Secondary) {
         val out = blockStart(v)
@@ -331,6 +370,12 @@ final class NePlusPlus(
 object NePlusPlus {
   /** Capacity of the `pids` write-back buffer (32 KiB of ids). */
   private final val WriteBackBatch = 4096
+
+  /** Clean-up chunks per worker: members' lists differ widely in length, so
+    * a round is cut finer than one chunk per worker and handed out as
+    * workers become free.
+    */
+  private final val ChunksPerWorker = 8
 
   // Per-vertex states. A seed goes Free → Secondary → Core within one
   // moveToCore; high-degree vertices are High from construction on.

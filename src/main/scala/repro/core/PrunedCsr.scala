@@ -107,20 +107,39 @@ object PrunedCsr {
   def fixedFootprintBytes(nV: Long, k: Int): Long =
     6L * nV * IdBytes + (nV * (k + 1) + 7) / 8
 
-  /** Two-pass CSR build (Section 4.1 "Graph Building"): pass 1 computes
-    * degrees (already cached on [[GraphData]]), the index arrays and the h2h
-    * count; pass 2 inserts each edge with a low-degree endpoint into the
-    * column array and skips the h2h edges.
+  /** Two-pass CSR build (Section 4.1 "Graph Building"): pass 1 counts each
+    * low-degree vertex's out- and in-entries and the h2h edges, then the
+    * index arrays are laid out; pass 2 inserts each edge with a low-degree
+    * endpoint into the column array and skips the h2h edges.
+    *
+    * Pass 2 writes only per-vertex data, so it runs on the [[Workers]] once
+    * the column has [[Workers.MinParallelWork]] entries: the vertices are
+    * split into contiguous shards of about equal column entries, and each
+    * worker scans the whole edge list in ascending edge-id order but writes
+    * only its own shard's entries. Every list therefore holds its entries in
+    * ascending edge-id order, as the sequential build leaves them. Pass 1
+    * stays on the calling thread: it does a few increments per edge, so a
+    * sharded count is dominated by each worker's own scan of the edge list
+    * and measured no faster.
     */
   def build(g: GraphData, tau: Option[Double]): PrunedCsr = {
-    val nV = g.nV
     val high = tau match {
       case Some(t) =>
         require(t > 0, s"tau must be positive, got $t")
         g.highDegree(t)
-      case None => new Array[Boolean](nV)
+      case None => new Array[Boolean](g.nV)
     }
+    // a low-degree vertex's column entries are its degree
+    val d = g.degrees
+    var entries = 0L
+    var v = 0
+    while (v < g.nV) { if (!high(v)) entries += d(v); v += 1 }
+    build(g, high, if (entries < Workers.MinParallelWork) 1 else Workers.count)
+  }
 
+  /** The build of [[build]], with pass 2 split into `shards` vertex shards. */
+  private[core] def build(g: GraphData, high: Array[Boolean], shards: Int): PrunedCsr = {
+    val nV = g.nV
     val outCnt = new Array[Int](nV)
     val inCnt = new Array[Int](nV)
     var h2h = 0
@@ -141,21 +160,52 @@ object PrunedCsr {
     val eid = new Array[Int](colLen)
     val outFill = new Array[Int](nV)
     val inFill = new Array[Int](nV)
-    e = 0
-    while (e < g.nE) {
-      val u = g.src(e); val w = g.dst(e)
-      if (!high(u)) {
+    val bounds = shardBounds(blockStart, shards)
+    Workers.run(shards) { s =>
+      fillShard(g, high, bounds(s), bounds(s + 1), blockStart, outCnt, nbr, eid, outFill, inFill)
+    }
+
+    new PrunedCsr(g, high, blockStart, outCnt, outFill, inFill, nbr, eid, h2h)
+  }
+
+  /** `shards + 1` ascending vertex bounds, from 0 to `nV`, that split the
+    * column entries laid out by `blockStart` about evenly.
+    */
+  private def shardBounds(blockStart: Array[Int], shards: Int): Array[Int] = {
+    val nV = blockStart.length - 1
+    val total = blockStart(nV).toLong
+    val bounds = new Array[Int](shards + 1)
+    var v = 0
+    var s = 1
+    while (s < shards) {
+      while (v < nV && blockStart(v).toLong * shards < total * s) v += 1
+      bounds(s) = v
+      s += 1
+    }
+    bounds(shards) = nV
+    bounds
+  }
+
+  /** Pass 2 for the vertices `[lo, hi)`: their column entries, in ascending
+    * edge-id order per list.
+    */
+  private def fillShard(g: GraphData, high: Array[Boolean], lo: Int, hi: Int,
+                        blockStart: Array[Int], outCnt: Array[Int], nbr: Array[Int],
+                        eid: Array[Int], outFill: Array[Int], inFill: Array[Int]): Unit = {
+    val src = g.src; val dst = g.dst
+    var e = 0
+    while (e < src.length) {
+      val u = src(e); val w = dst(e)
+      if (u >= lo && u < hi && !high(u)) {
         val i = blockStart(u) + outFill(u)
         nbr(i) = w; eid(i) = e; outFill(u) += 1
       }
-      if (!high(w)) {
+      if (w >= lo && w < hi && !high(w)) {
         val i = blockStart(w) + outCnt(w) + inFill(w)
         nbr(i) = u; eid(i) = e; inFill(w) += 1
       }
       e += 1
     }
-
-    new PrunedCsr(g, high, blockStart, outCnt, outFill, inFill, nbr, eid, h2h)
   }
 
   /** Largest column length the JVM can allocate as one array. */

@@ -3,13 +3,15 @@ package repro.taumem
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
-import repro.core.PrunedCsr
+import repro.core.{GraphData, PrunedCsr}
 
 /** Section 4.4 / Table 2: pre-compute, for a grid of τ candidates, the
   * memory footprint HEP would need, so the maximal τ that fits a memory
-  * bound can be chosen before partitioning. Implemented with the DataFrame
-  * API ("a trivially parallelizable process"): one degree aggregation, then
-  * one cumulative filter per τ.
+  * bound can be chosen before partitioning. Two implementations of the same
+  * model: on the driver's [[GraphData]], the paper's single scan (one sort of
+  * the degrees, then one binary search per τ), which Table 2 times; and with
+  * the DataFrame API ("a trivially parallelizable process"), one degree
+  * aggregation, then one cumulative filter per τ, checked against DuckDB.
   *
   * Footprint per Section 4.2, as [[PrunedCsr.memoryFootprintBytes]] counts it:
   * `Σ_{v ∈ V_l} d(v) * b_id` plus [[PrunedCsr.fixedFootprintBytes]], with
@@ -48,6 +50,29 @@ object TauPrecompute {
         TauFootprint(t, agg.getLong(1), lowAdj, lowAdj * PrunedCsr.IdBytes + fixed)
       }
     } finally { deg.unpersist(); () }
+  }
+
+  /** [[footprints]] on the driver: the degrees of `g` sorted once, with
+    * prefix sums, so each τ costs one binary search for the first degree
+    * above `τ · meanDegree`, the rule of [[GraphData.highDegree]].
+    */
+  def footprints(g: GraphData, k: Int, taus: Seq[Double]): Seq[TauFootprint] = {
+    val deg = g.degrees.clone()
+    java.util.Arrays.sort(deg)
+    val below = new Array[Long](deg.length + 1) // below(i): sum of the i smallest degrees
+    var i = 0
+    while (i < deg.length) { below(i + 1) = below(i) + deg(i); i += 1 }
+    val fixed = PrunedCsr.fixedFootprintBytes(g.nV, k)
+    taus.map { t =>
+      val threshold = t * g.meanDegree
+      var lo = 0 // deg(lo until hi) holds the first degree above threshold
+      var hi = deg.length
+      while (lo < hi) {
+        val mid = (lo + hi) >>> 1
+        if (deg(mid) > threshold) hi = mid else lo = mid + 1
+      }
+      TauFootprint(t, deg.length - lo, below(lo), below(lo) * PrunedCsr.IdBytes + fixed)
+    }
   }
 
   /** Largest τ from the grid whose footprint fits `memBytes` (Section 4.4's

@@ -40,3 +40,26 @@ final class CsrView(csr: PrunedCsr) {
 
   private def report(i: Int): Unit = if (csr.tracer ne null) csr.tracer.onAccess(i)
 }
+
+object CsrView {
+
+  /** What a sequential two-pass build gives `g` with high-degree flags
+    * `high`: each vertex's out-entries `(dst, e)` and in-entries `(src, e)`
+    * in ascending edge-id order (none for a high-degree vertex), and the
+    * number of h2h edges.
+    */
+  def referenceBuild(g: GraphData, high: Array[Boolean]): (IndexedSeq[(Seq[(Int, Int)], Seq[(Int, Int)])], Int) = {
+    val out = Array.fill(g.nV)(Seq.newBuilder[(Int, Int)])
+    val in = Array.fill(g.nV)(Seq.newBuilder[(Int, Int)])
+    var h2h = 0
+    for (e <- 0 until g.nE) {
+      val (u, v) = (g.src(e), g.dst(e))
+      if (high(u) && high(v)) h2h += 1
+      else {
+        if (!high(u)) out(u) += ((v, e))
+        if (!high(v)) in(v) += ((u, e))
+      }
+    }
+    (out.indices.map(v => (out(v).result(), in(v).result())), h2h)
+  }
+}

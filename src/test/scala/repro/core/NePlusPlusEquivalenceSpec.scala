@@ -165,8 +165,13 @@ class NePlusPlusEquivalenceSpec extends AnyFunSuite {
     override def onAccess(entryIndex: Int): Unit = accesses += 1
   }
 
-  /** Run both on fresh CSRs of `g`; assert identical results. */
-  private def assertSame(g: GraphData, k: Int, tau: Option[Double], label: String): Unit = {
+  /** Run both on fresh CSRs of `g`; assert identical results. With `traced`
+    * false the engine runs without a tracer, as `Hep.partition` does, so
+    * large clean-up rounds run on the workers; tracer reports are then not
+    * compared. Returns the engine.
+    */
+  private def assertSame(g: GraphData, k: Int, tau: Option[Double], label: String,
+                         traced: Boolean = true): NePlusPlus = {
     val expectedCsr = PrunedCsr.build(g, tau)
     val expectedCounter = new Counter
     expectedCsr.tracer = expectedCounter
@@ -176,7 +181,7 @@ class NePlusPlusEquivalenceSpec extends AnyFunSuite {
 
     val csr = PrunedCsr.build(g, tau)
     val counter = new Counter
-    csr.tracer = counter
+    if (traced) csr.tracer = counter
     val pids = Array.fill(g.nE)(-1)
     val loads = new Array[Long](k)
     val replicas = Array.fill(k)(new DenseBitset(g.nV))
@@ -193,12 +198,13 @@ class NePlusPlusEquivalenceSpec extends AnyFunSuite {
     assert(engine.coreSize == oracle.core.cardinality, s"core size differs: $label")
     assert(engine.seedsTaken == oracle.seeds, s"seed count differs: $label")
     assert(engine.spilledEdges == oracle.spilled, s"spill count differs: $label")
-    assert(counter.accesses == expectedCounter.accesses - oracle.seedCleanupAccesses,
+    if (traced) assert(counter.accesses == expectedCounter.accesses - oracle.seedCleanupAccesses,
       s"tracer reports differ beyond the seeds' clean-up: $label")
     val (actualCol, expectedCol) = (new CsrView(csr), new CsrView(expectedCsr))
     (0 until g.nV).filterNot(oracle.core.get).foreach { v =>
       assert(actualCol.regions(v) == expectedCol.regions(v), s"column regions of vertex $v differ: $label")
     }
+    engine
   }
 
   private val ks = Seq(1, 2, 3, 7, 32)
@@ -217,6 +223,30 @@ class NePlusPlusEquivalenceSpec extends AnyFunSuite {
     // at k = 2 the first partition takes 10,000 edges, more than one
     // 4096-entry write-back batch
     assertGrid("large hub-first", TestGraphs.powerLaw(3000, 20000, gamma = 2.5, seed = 405))
+  }
+
+  test("clean-up rounds split across the workers match the frozen loop") {
+    val g = TestGraphs.random(20000, 100000, seed = 406)
+    for (k <- Seq(2, 3, 7); tau <- Seq(None, Some(2.0))) {
+      val label = s"parallel k=$k tau=${tau.getOrElse("unpruned")}"
+      val engine = assertSame(g, k, tau, label, traced = false)
+      assert(engine.parallelCleanUps > 0, s"no clean-up round ran on the workers: $label")
+    }
+    // with a tracer attached every round stays on the calling thread
+    assert(assertSame(g, 2, None, "traced").parallelCleanUps == 0)
+  }
+
+  test("a traced HEP-100 run pages as the sequential engine did") {
+    // accesses and LRU faults recorded before the build and the clean-up
+    // ran on the workers; the graph's column is above the parallel threshold
+    val g = TestGraphs.powerLaw(6000, 40000, gamma = 2.5, seed = 407)
+    assert(PrunedCsr.build(g, Some(100.0)).colLength >= Workers.MinParallelWork)
+    val counts = Seq(4, 16, 64).map { pages =>
+      val sim = new repro.paging.PagingSimulator(pages)
+      new Hep(100, sim).partition(g, 32)
+      (pages, sim.accesses, sim.faults)
+    }
+    assert(counts == Seq((4, 568923L, 34574L), (16, 568923L, 26895L), (64, 568923L, 3746L)))
   }
 
   test("random graphs match the frozen loop") {

@@ -41,6 +41,28 @@ class PartitionerGoldenSpec extends AnyFunSuite {
     assert(partitioners.map(_.name).toSet == golden.keySet)
   }
 
+  test("HEP-100 called from 4 threads at once on one graph matches the golden hashes") {
+    // the large graph's build and clean-up run on the shared workers; its
+    // reference is a call made alone
+    val large = TestGraphs.powerLaw(6000, 40000, gamma = 2.5, seed = 408)
+    val cases = graphs.map { case (name, g) =>
+      (name, g, golden("HEP-100")(graphs.indexWhere(_._1 == name) * ks.length + ks.indexOf(32)))
+    } :+ (("large", large, java.util.Arrays.hashCode(new Hep(100).partition(large, 32).pids)))
+    for ((name, g, want) <- cases) {
+      val start = new java.util.concurrent.CyclicBarrier(4)
+      val hashes = new Array[Int](4)
+      val threads = hashes.indices.map { t =>
+        new Thread(() => {
+          start.await()
+          hashes(t) = java.util.Arrays.hashCode(new Hep(100).partition(g, 32).pids)
+        })
+      }
+      threads.foreach(_.start())
+      threads.foreach(_.join())
+      assert(hashes.forall(_ == want), s"HEP-100 on $name k=32: ${hashes.toSeq}")
+    }
+  }
+
   partitioners.foreach { algo =>
     test(s"${algo.name} assignments match the golden hashes") {
       val cases = for ((gName, g) <- graphs; k <- ks) yield {

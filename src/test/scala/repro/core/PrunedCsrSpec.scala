@@ -126,6 +126,46 @@ class PrunedCsrSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](PrunedCsr.blockStarts(Array(PrunedCsr.MaxColumnLength), Array(1)))
   }
 
+  /** `csr` holds exactly what the sequential reference build gives `g`. */
+  private def assertMatchesReference(g: GraphData, high: Array[Boolean], csr: PrunedCsr,
+                                     label: String): Unit = {
+    val (regions, h2h) = CsrView.referenceBuild(g, high)
+    val col = new CsrView(csr)
+    (0 until g.nV).foreach(v => assert(col.regions(v) == regions(v), s"$label: regions of vertex $v"))
+    assert(csr.colLength == regions.map { case (o, i) => o.length + i.length }.sum, s"$label: column length")
+    assert(csr.h2hCount == h2h, s"$label: h2h count")
+  }
+
+  private def highFlags(g: GraphData, tau: Option[Double]): Array[Boolean] =
+    tau.fold(new Array[Boolean](g.nV))(g.highDegree)
+
+  test("a graph above the parallel threshold builds as the sequential reference does") {
+    val g = TestGraphs.powerLaw(6000, 40000, gamma = 2.5, seed = 5)
+    for (tau <- Seq(None, Some(100.0), Some(1.0))) {
+      val csr = PrunedCsr.build(g, tau)
+      assert(csr.colLength >= Workers.MinParallelWork, s"tau=$tau: below the parallel threshold")
+      assertMatchesReference(g, highFlags(g, tau), csr, s"tau=$tau")
+    }
+  }
+
+  test("any number of shards builds as the sequential reference does") {
+    val graphs = Seq(
+      "power-law" -> TestGraphs.powerLaw(500, 3000, gamma = 2.5, seed = 6),
+      "nV < workers" -> TestGraphs.path(3),
+      // edges only between odd ids: every even vertex is isolated
+      "isolated" -> GraphData.fromEdges(41, (0 until 19).map(v => (2 * v + 1, 2 * v + 3))),
+      "empty" -> new GraphData(0, Array.empty, Array.empty),
+      "no edges" -> new GraphData(5, Array.empty, Array.empty),
+    )
+    for ((name, g) <- graphs; tau <- Seq(None, Some(1.0), Some(1e-3));
+         shards <- Seq(1, 2, 3, Workers.count, g.nV + 5)) {
+      val high = highFlags(g, tau)
+      val csr = PrunedCsr.build(g, high, shards)
+      assertMatchesReference(g, high, csr, s"$name tau=$tau shards=$shards")
+      if (tau.contains(1e-3)) assert(csr.h2hCount == g.nE, s"$name: every edge is h2h at tau -> 0")
+    }
+  }
+
   test("non-positive tau is rejected") {
     intercept[IllegalArgumentException](PrunedCsr.build(TestGraphs.path(3), Some(0.0)))
   }

@@ -20,7 +20,7 @@ class TableHarnessSpec extends SparkSpec {
   }
 
   test("table2 reports a runtime and a footprint grid per graph") {
-    val rows = TableHarness.table2(spark, tiny).rows
+    val rows = TableHarness.table2(tiny).rows
     assert(rows.length == 1)
     assert(rows.head.footprints.map(_.tau) == Seq(100.0, 10, 4, 2, 1, 0.5))
     assert(rows.head.millis >= 0)
@@ -61,11 +61,12 @@ class TableHarnessSpec extends SparkSpec {
     assert(t.rows.forall(_.modelledMs >= 0))
   }
 
-  test("warmMedian runs once untimed, then returns the last of three runs and their median") {
-    val times = Iterator(999L, 30L, 10L, 20L)
+  test("warmMedian warms up, then takes the median of 3") {
+    val w = TableHarness.WarmupCalls
+    val times = Iterator.fill(w)(999L) ++ Iterator(30L, 10L, 20L)
     var calls = 0
     val (last, ms) = TableHarness.warmMedian { calls += 1; (calls, times.next()) }(_._2)
-    assert(calls == 4 && last == ((4, 20L)) && ms == 20L)
+    assert(w == 5 && calls == w + 3 && last == ((w + 3, 20L)) && ms == 20L)
   }
 
   test("render of a table prints its title, notes, header and rows") {

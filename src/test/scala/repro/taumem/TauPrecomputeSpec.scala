@@ -2,11 +2,11 @@ package repro.taumem
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestGraphs}
-import repro.core.PrunedCsr
+import repro.core.{GraphData, PrunedCsr}
 
 class TauPrecomputeSpec extends SparkSpec {
 
-  private def edgesDF(g: repro.core.GraphData) = {
+  private def edgesDF(g: GraphData) = {
     import spark.implicits._
     (0 until g.nE).map(e => (g.src(e), g.dst(e))).toDF("src", "dst")
   }
@@ -31,6 +31,30 @@ class TauPrecomputeSpec extends SparkSpec {
       assert(fp.highVertices == csr.highCount.toLong, s"tau=$tau high count")
       assert(fp.lowAdjacencyEntries == csr.colLength.toLong, s"tau=$tau col entries")
     }
+  }
+
+  test("the driver-side footprints equal the DataFrame job's and the built CSR's") {
+    val k = 32
+    val taus = Seq(100.0, 10, 4, 2, 1, 0.5, 1e-3)
+    val base = TestGraphs.random(100, 300, seed = 95)
+    val graphs = Seq(
+      TestGraphs.powerLaw(400, 2500, gamma = 2.5, seed = 94),
+      TestGraphs.twoCliques(6), // every degree equals the mean: tau = 1 sits on the rule's boundary
+      // edges only between odd ids: every even vertex is isolated
+      GraphData.fromEdges(201, (0 until base.nE).map(e => (2 * base.src(e) + 1, 2 * base.dst(e) + 1))),
+    )
+    graphs.foreach { g =>
+      val fps = TauPrecompute.footprints(g, k, taus)
+      assert(fps == TauPrecompute.footprints(spark, edgesDF(g), g.nV.toLong, k, taus))
+      taus.zip(fps).foreach { case (tau, fp) =>
+        val csr = PrunedCsr.build(g, Some(tau))
+        assert(fp.footprintBytes == csr.memoryFootprintBytes(k), s"tau=$tau")
+        assert(fp.highVertices == csr.highCount.toLong, s"tau=$tau high count")
+        assert(fp.lowAdjacencyEntries == csr.colLength.toLong, s"tau=$tau col entries")
+      }
+    }
+    assert(TauPrecompute.footprints(new GraphData(0, Array.empty, Array.empty), k, taus)
+      .forall(fp => fp.highVertices == 0 && fp.lowAdjacencyEntries == 0))
   }
 
   test("footprint is monotone non-decreasing in tau") {
