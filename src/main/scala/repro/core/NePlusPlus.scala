@@ -1,5 +1,7 @@
 package repro.core
 
+import java.util.stream.IntStream
+
 /** How assigned edges are invalidated during neighbourhood expansion.
   *
   * NE++ has one mode, [[EdgeRemoval.Lazy]] (Section 3.2.2): nothing is
@@ -109,7 +111,7 @@ final class NePlusPlus(
     */
   def spilledEdges: Long = spilled
 
-  /** Clean-up rounds split across the [[Workers]]. */
+  /** Clean-up rounds run as parallel streams. */
   def parallelCleanUps: Int = parallelRounds
 
   /** Run the complete in-memory phase. */
@@ -260,17 +262,21 @@ final class NePlusPlus(
     * Each member's clean-up swap-removes entries inside its own column
     * block and size fields, and only reads `state`, so members can be
     * cleaned in any order and at once: a round with at least
-    * [[Workers.MinParallelWork]] valid entries to scan is cleaned by the
-    * [[Workers]], in chunks of members handed out as workers become free.
-    * With a tracer attached the round stays on the calling thread, so the
-    * tracer sees the accesses in the sequential order.
+    * [[PrunedCsr.MinParallelWork]] valid entries to scan runs over its
+    * members as a parallel stream, on the fork/join pool as
+    * [[PrunedCsr.build]]'s fill pass does, with the same rules for a task's
+    * exception and its allocation. With a tracer attached the round stays
+    * on the calling thread, so the tracer sees the accesses in the
+    * sequential order.
     */
   private def cleanUp(): Unit = {
-    if ((csr.tracer eq null) && cleanUpWork() >= Workers.MinParallelWork) {
+    if ((csr.tracer eq null) && cleanUpWork() >= PrunedCsr.MinParallelWork) {
       parallelRounds += 1
-      cleanChunks = math.min(memberCount, Workers.count * ChunksPerWorker)
-      Workers.run(cleanChunks)(cleanChunk)
-    } else cleanMembers(0, memberCount)
+      IntStream.range(0, memberCount).parallel().forEach(m => cleanMember(members(m)))
+    } else {
+      var m = 0
+      while (m < memberCount) { cleanMember(members(m)); m += 1 }
+    }
   }
 
   /** Valid entries of the members still in `S_i`: what [[cleanUp]] scans. */
@@ -285,25 +291,13 @@ final class NePlusPlus(
     work
   }
 
-  /** Chunks of the current parallel clean-up round. */
-  private var cleanChunks = 0
-  /** Cleans chunk `c` of `cleanChunks` equal slices of `members`. */
-  private val cleanChunk: Int => Unit = c =>
-    cleanMembers((c.toLong * memberCount / cleanChunks).toInt,
-      ((c + 1).toLong * memberCount / cleanChunks).toInt)
-
-  private def cleanMembers(from: Int, until: Int): Unit = {
-    var m = from
-    while (m < until) {
-      val v = members(m)
-      if (state(v) == Secondary) {
-        val out = blockStart(v)
-        outSize(v) = cleanKernel(out, outSize(v))
-        inSize(v) = cleanKernel(out + outCap(v), inSize(v))
-      }
-      m += 1
+  /** Clean member `v`'s out- and in-list if it is still in `S_i`. */
+  private def cleanMember(v: Int): Unit =
+    if (state(v) == Secondary) {
+      val out = blockStart(v)
+      outSize(v) = cleanKernel(out, outSize(v))
+      inSize(v) = cleanKernel(out + outCap(v), inSize(v))
     }
-  }
 
   /** Clean-up kernel: swap-remove every entry of `[from, from + size)` whose
     * neighbour is not free, and return the region's new size.
@@ -370,12 +364,6 @@ final class NePlusPlus(
 object NePlusPlus {
   /** Capacity of the `pids` write-back buffer (32 KiB of ids). */
   private final val WriteBackBatch = 4096
-
-  /** Clean-up chunks per worker: members' lists differ widely in length, so
-    * a round is cut finer than one chunk per worker and handed out as
-    * workers become free.
-    */
-  private final val ChunksPerWorker = 8
 
   // Per-vertex states. A seed goes Free → Secondary → Core within one
   // moveToCore; high-degree vertices are High from construction on.

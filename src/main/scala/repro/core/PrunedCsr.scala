@@ -1,5 +1,7 @@
 package repro.core
 
+import java.util.stream.IntStream
+
 /** Hook for the paging experiment (Table 6): every column-array access can be
   * reported to a tracer that simulates an LRU page cache.
   */
@@ -107,20 +109,34 @@ object PrunedCsr {
   def fixedFootprintBytes(nV: Long, k: Int): Long =
     6L * nV * IdBytes + (nV * (k + 1) + 7) / 8
 
+  /** Least column entries for which [[build]] splits its fill pass, and
+    * least valid entries to scan for which [[NePlusPlus]] splits a clean-up
+    * round, across the fork/join pool; below it, forking costs more than it
+    * saves. A threshold on the size of the input, not an option.
+    */
+  private[core] final val MinParallelWork = 1 << 15
+
   /** Two-pass CSR build (Section 4.1 "Graph Building"): pass 1 counts each
     * low-degree vertex's out- and in-entries and the h2h edges, then the
     * index arrays are laid out; pass 2 inserts each edge with a low-degree
     * endpoint into the column array and skips the h2h edges.
     *
-    * Pass 2 writes only per-vertex data, so it runs on the [[Workers]] once
-    * the column has [[Workers.MinParallelWork]] entries: the vertices are
-    * split into contiguous shards of about equal column entries, and each
-    * worker scans the whole edge list in ascending edge-id order but writes
-    * only its own shard's entries. Every list therefore holds its entries in
-    * ascending edge-id order, as the sequential build leaves them. Pass 1
-    * stays on the calling thread: it does a few increments per edge, so a
-    * sharded count is dominated by each worker's own scan of the edge list
-    * and measured no faster.
+    * Pass 2 writes only per-vertex data, so once the column has
+    * [[MinParallelWork]] entries it is split into `availableProcessors`
+    * contiguous vertex shards of about equal column entries, run as the
+    * tasks of a parallel stream: on the fork/join common pool, with the
+    * calling thread helping, or on the caller's own pool when the caller is
+    * a fork/join worker. Each task scans the whole edge list in ascending
+    * edge-id order but writes only its own shard's entries, so every list
+    * holds its entries in ascending edge-id order, as the sequential build
+    * leaves them. Pass 1 stays on the calling thread: it does a few
+    * increments per edge, so a sharded count is dominated by each task's own
+    * scan of the edge list and measured no faster.
+    *
+    * A task's exception reaches the caller, possibly while sibling tasks are
+    * still running; any such exception is a bug, and it fails the call.
+    * Tasks allocate nothing: the benchmark's `alloc_bytes` counts only the
+    * calling thread, so memory a pool thread allocated would go unmeasured.
     */
   def build(g: GraphData, tau: Option[Double]): PrunedCsr = {
     val high = tau match {
@@ -129,16 +145,14 @@ object PrunedCsr {
         g.highDegree(t)
       case None => new Array[Boolean](g.nV)
     }
-    // a low-degree vertex's column entries are its degree
-    val d = g.degrees
-    var entries = 0L
-    var v = 0
-    while (v < g.nV) { if (!high(v)) entries += d(v); v += 1 }
-    build(g, high, if (entries < Workers.MinParallelWork) 1 else Workers.count)
+    build(g, high, colLen =>
+      if (colLen < MinParallelWork) 1 else Runtime.getRuntime.availableProcessors)
   }
 
-  /** The build of [[build]], with pass 2 split into `shards` vertex shards. */
-  private[core] def build(g: GraphData, high: Array[Boolean], shards: Int): PrunedCsr = {
+  /** The build of [[build]], with pass 2 split into `shards(column length)`
+    * vertex shards.
+    */
+  private[core] def build(g: GraphData, high: Array[Boolean], shards: Int => Int): PrunedCsr = {
     val nV = g.nV
     val outCnt = new Array[Int](nV)
     val inCnt = new Array[Int](nV)
@@ -160,8 +174,8 @@ object PrunedCsr {
     val eid = new Array[Int](colLen)
     val outFill = new Array[Int](nV)
     val inFill = new Array[Int](nV)
-    val bounds = shardBounds(blockStart, shards)
-    Workers.run(shards) { s =>
+    val bounds = shardBounds(blockStart, shards(colLen))
+    IntStream.range(0, bounds.length - 1).parallel().forEach { s =>
       fillShard(g, high, bounds(s), bounds(s + 1), blockStart, outCnt, nbr, eid, outFill, inFill)
     }
 

@@ -39,10 +39,12 @@ object GraphXRunner {
     */
   def buildGraph(spark: SparkSession, g: GraphData, res: PartitionResult): Graph[Int, Int] = {
     val sc = spark.sparkContext
-    // capture only serializable primitive arrays in the closure
-    val (srcArr, dstArr, pidArr) = (g.src, g.dst, res.pids)
+    // one broadcast ships the arrays once; captured in the closure they
+    // would travel in every task binary
+    val arrays = sc.broadcast((g.src, g.dst, res.pids))
     val keyed = sc.parallelize(0 until g.nE, math.max(1, res.k)).map { e =>
-      (pidArr(e), Edge(srcArr(e).toLong, dstArr(e).toLong, 1))
+      val (src, dst, pids) = arrays.value
+      (pids(e), Edge(src(e).toLong, dst(e).toLong, 1))
     }
     val edges = keyed.partitionBy(new IdentityPartitioner(res.k)).map(_._2)
     val graph = Graph.fromEdges(edges, defaultValue = 0,

@@ -167,8 +167,8 @@ class NePlusPlusEquivalenceSpec extends AnyFunSuite {
 
   /** Run both on fresh CSRs of `g`; assert identical results. With `traced`
     * false the engine runs without a tracer, as `Hep.partition` does, so
-    * large clean-up rounds run on the workers; tracer reports are then not
-    * compared. Returns the engine.
+    * large clean-up rounds run on the fork/join pool; tracer reports are
+    * then not compared. Returns the engine.
     */
   private def assertSame(g: GraphData, k: Int, tau: Option[Double], label: String,
                          traced: Boolean = true): NePlusPlus = {
@@ -238,9 +238,10 @@ class NePlusPlusEquivalenceSpec extends AnyFunSuite {
 
   test("a traced HEP-100 run pages as the sequential engine did") {
     // accesses and LRU faults recorded before the build and the clean-up
-    // ran on the workers; the graph's column is above the parallel threshold
+    // ran on more than one thread; the graph's column is above the parallel
+    // threshold
     val g = TestGraphs.powerLaw(6000, 40000, gamma = 2.5, seed = 407)
-    assert(PrunedCsr.build(g, Some(100.0)).colLength >= Workers.MinParallelWork)
+    assert(PrunedCsr.build(g, Some(100.0)).colLength >= PrunedCsr.MinParallelWork)
     val counts = Seq(4, 16, 64).map { pages =>
       val sim = new repro.paging.PagingSimulator(pages)
       new Hep(100, sim).partition(g, 32)

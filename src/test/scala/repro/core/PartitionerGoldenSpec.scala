@@ -42,25 +42,34 @@ class PartitionerGoldenSpec extends AnyFunSuite {
   }
 
   test("HEP-100 called from 4 threads at once on one graph matches the golden hashes") {
-    // the large graph's build and clean-up run on the shared workers; its
+    // the large graph's build and clean-up run on the fork/join pool; its
     // reference is a call made alone
+    def hash(g: GraphData): Int = java.util.Arrays.hashCode(new Hep(100).partition(g, 32).pids)
     val large = TestGraphs.powerLaw(6000, 40000, gamma = 2.5, seed = 408)
     val cases = graphs.map { case (name, g) =>
       (name, g, golden("HEP-100")(graphs.indexWhere(_._1 == name) * ks.length + ks.indexOf(32)))
-    } :+ (("large", large, java.util.Arrays.hashCode(new Hep(100).partition(large, 32).pids)))
-    for ((name, g, want) <- cases) {
+    } :+ (("large", large, hash(large)))
+    // callers that are themselves fork/join workers: the phases' parallel
+    // streams fork into the callers' pool, which must neither deadlock nor
+    // change the result
+    val pool = new java.util.concurrent.ForkJoinPool(4)
+    try for ((name, g, want) <- cases) {
       val start = new java.util.concurrent.CyclicBarrier(4)
       val hashes = new Array[Int](4)
       val threads = hashes.indices.map { t =>
         new Thread(() => {
           start.await()
-          hashes(t) = java.util.Arrays.hashCode(new Hep(100).partition(g, 32).pids)
+          hashes(t) = hash(g)
         })
       }
       threads.foreach(_.start())
       threads.foreach(_.join())
       assert(hashes.forall(_ == want), s"HEP-100 on $name k=32: ${hashes.toSeq}")
-    }
+      val callers: java.util.concurrent.Callable[Array[Int]] =
+        () => java.util.stream.IntStream.range(0, 4).parallel().map(_ => hash(g)).toArray
+      val nested = pool.submit(callers).get(5, java.util.concurrent.TimeUnit.MINUTES)
+      assert(nested.forall(_ == want), s"HEP-100 on $name k=32 from fork/join tasks: ${nested.toSeq}")
+    } finally pool.shutdown()
   }
 
   partitioners.foreach { algo =>

@@ -143,7 +143,7 @@ class PrunedCsrSpec extends AnyFunSuite {
     val g = TestGraphs.powerLaw(6000, 40000, gamma = 2.5, seed = 5)
     for (tau <- Seq(None, Some(100.0), Some(1.0))) {
       val csr = PrunedCsr.build(g, tau)
-      assert(csr.colLength >= Workers.MinParallelWork, s"tau=$tau: below the parallel threshold")
+      assert(csr.colLength >= PrunedCsr.MinParallelWork, s"tau=$tau: below the parallel threshold")
       assertMatchesReference(g, highFlags(g, tau), csr, s"tau=$tau")
     }
   }
@@ -158,9 +158,9 @@ class PrunedCsrSpec extends AnyFunSuite {
       "no edges" -> new GraphData(5, Array.empty, Array.empty),
     )
     for ((name, g) <- graphs; tau <- Seq(None, Some(1.0), Some(1e-3));
-         shards <- Seq(1, 2, 3, Workers.count, g.nV + 5)) {
+         shards <- Seq(1, 2, 3, Runtime.getRuntime.availableProcessors, g.nV + 5)) {
       val high = highFlags(g, tau)
-      val csr = PrunedCsr.build(g, high, shards)
+      val csr = PrunedCsr.build(g, high, _ => shards)
       assertMatchesReference(g, high, csr, s"$name tau=$tau shards=$shards")
       if (tau.contains(1e-3)) assert(csr.h2hCount == g.nE, s"$name: every edge is h2h at tau -> 0")
     }
