@@ -6,8 +6,9 @@ package repro.core
   * `E_h2h` out), run NE++ over the in-memory edges, then stream the h2h
   * edges from the input edge list with HDRF scoring seeded by the NE++ state.
   * The result carries the CSR's Section 4.2 memory model. The CSR build's
-  * fill pass and NE++'s clean-up rounds run on the fork/join pool when large
-  * enough; the result does not depend on the pool or its size (DESIGN.md §2).
+  * two fill scans, and NE++'s clean-up rounds when large enough, run on the
+  * fork/join pool; the result does not depend on the pool or its size
+  * (DESIGN.md §2).
   *
   * `HEP-x` in the paper means `tau = x`; [[name]] follows that convention.
   *

@@ -262,15 +262,15 @@ final class NePlusPlus(
     * Each member's clean-up swap-removes entries inside its own column
     * block and size fields, and only reads `state`, so members can be
     * cleaned in any order and at once: a round with at least
-    * [[PrunedCsr.MinParallelWork]] valid entries to scan runs over its
+    * [[NePlusPlus.MinParallelWork]] valid entries to scan runs over its
     * members as a parallel stream, on the fork/join pool as
-    * [[PrunedCsr.build]]'s fill pass does, with the same rules for a task's
-    * exception and its allocation. With a tracer attached the round stays
-    * on the calling thread, so the tracer sees the accesses in the
+    * [[PrunedCsr.build]]'s two fill scans do, with the same rules for a
+    * task's exception and its allocation. With a tracer attached the round
+    * stays on the calling thread, so the tracer sees the accesses in the
     * sequential order.
     */
   private def cleanUp(): Unit = {
-    if ((csr.tracer eq null) && cleanUpWork() >= PrunedCsr.MinParallelWork) {
+    if ((csr.tracer eq null) && cleanUpWork() >= MinParallelWork) {
       parallelRounds += 1
       IntStream.range(0, memberCount).parallel().forEach(m => cleanMember(members(m)))
     } else {
@@ -364,6 +364,12 @@ final class NePlusPlus(
 object NePlusPlus {
   /** Capacity of the `pids` write-back buffer (32 KiB of ids). */
   private final val WriteBackBatch = 4096
+
+  /** Least valid entries to scan for which a clean-up round is split across
+    * the fork/join pool; below it, forking costs more than it saves. A
+    * threshold on the size of the input, not an option.
+    */
+  private[core] final val MinParallelWork = 1 << 15
 
   // Per-vertex states. A seed goes Free → Secondary → Core within one
   // moveToCore; high-degree vertices are High from construction on.

@@ -109,32 +109,23 @@ object PrunedCsr {
   def fixedFootprintBytes(nV: Long, k: Int): Long =
     6L * nV * IdBytes + (nV * (k + 1) + 7) / 8
 
-  /** Least column entries for which [[build]] splits its fill pass, and
-    * least valid entries to scan for which [[NePlusPlus]] splits a clean-up
-    * round, across the fork/join pool; below it, forking costs more than it
-    * saves. A threshold on the size of the input, not an option.
-    */
-  private[core] final val MinParallelWork = 1 << 15
-
-  /** Two-pass CSR build (Section 4.1 "Graph Building"): pass 1 counts each
-    * low-degree vertex's out- and in-entries and the h2h edges, then the
-    * index arrays are laid out; pass 2 inserts each edge with a low-degree
-    * endpoint into the column array and skips the h2h edges.
+  /** CSR build (Section 4.1 "Graph Building"). The degrees give the layout:
+    * a low-degree vertex's block holds exactly `d(v)` entries, its out-list
+    * then its in-list, and a high-degree vertex's block is empty. Two scans
+    * of the edge list then fill the column, as the two tasks of a parallel
+    * stream (on the fork/join common pool, with the calling thread helping,
+    * or on the caller's own pool when the caller is a fork/join worker):
+    *  - the out-task scans edges in ascending id order, appends each edge
+    *    to its low-degree left endpoint's out-list and counts the h2h edges;
+    *  - the in-task scans edges in descending id order and prepends each
+    *    edge to its low-degree right endpoint's in-list, which ends at the
+    *    next vertex's block start.
+    * So both lists hold their edges in ascending edge-id order, and the
+    * out-list's final size is where the in-list begins. The tasks write
+    * disjoint entries and size fields.
     *
-    * Pass 2 writes only per-vertex data, so once the column has
-    * [[MinParallelWork]] entries it is split into `availableProcessors`
-    * contiguous vertex shards of about equal column entries, run as the
-    * tasks of a parallel stream: on the fork/join common pool, with the
-    * calling thread helping, or on the caller's own pool when the caller is
-    * a fork/join worker. Each task scans the whole edge list in ascending
-    * edge-id order but writes only its own shard's entries, so every list
-    * holds its entries in ascending edge-id order, as the sequential build
-    * leaves them. Pass 1 stays on the calling thread: it does a few
-    * increments per edge, so a sharded count is dominated by each task's own
-    * scan of the edge list and measured no faster.
-    *
-    * A task's exception reaches the caller, possibly while sibling tasks are
-    * still running; any such exception is a bug, and it fails the call.
+    * A task's exception reaches the caller, possibly while the other task
+    * is still running; any such exception is a bug, and it fails the call.
     * Tasks allocate nothing: the benchmark's `alloc_bytes` counts only the
     * calling thread, so memory a pool thread allocated would go unmeasured.
     */
@@ -145,104 +136,72 @@ object PrunedCsr {
         g.highDegree(t)
       case None => new Array[Boolean](g.nV)
     }
-    build(g, high, colLen =>
-      if (colLen < MinParallelWork) 1 else Runtime.getRuntime.availableProcessors)
+    val blockStart = blockStarts(g.degrees, high)
+    val nbr = new Array[Int](blockStart(g.nV))
+    val eid = new Array[Int](nbr.length)
+    val outSize = new Array[Int](g.nV)
+    val inSize = new Array[Int](g.nV)
+    val h2h = IntStream.range(0, 2).parallel().map { task =>
+      if (task == 0) fillOut(g, high, blockStart, outSize, nbr, eid)
+      else { fillIn(g, high, blockStart, inSize, nbr, eid); 0 }
+    }.sum()
+    new PrunedCsr(g, high, blockStart, outSize.clone(), outSize, inSize, nbr, eid, h2h)
   }
 
-  /** The build of [[build]], with pass 2 split into `shards(column length)`
-    * vertex shards.
-    */
-  private[core] def build(g: GraphData, high: Array[Boolean], shards: Int => Int): PrunedCsr = {
-    val nV = g.nV
-    val outCnt = new Array[Int](nV)
-    val inCnt = new Array[Int](nV)
-    var h2h = 0
-    var e = 0
-    while (e < g.nE) {
-      val u = g.src(e); val v = g.dst(e)
-      if (high(u) && high(v)) h2h += 1
-      else {
-        if (!high(u)) outCnt(u) += 1
-        if (!high(v)) inCnt(v) += 1
-      }
-      e += 1
-    }
-
-    val blockStart = blockStarts(outCnt, inCnt)
-    val colLen = blockStart(nV)
-    val nbr = new Array[Int](colLen)
-    val eid = new Array[Int](colLen)
-    val outFill = new Array[Int](nV)
-    val inFill = new Array[Int](nV)
-    val bounds = shardBounds(blockStart, shards(colLen))
-    IntStream.range(0, bounds.length - 1).parallel().forEach { s =>
-      fillShard(g, high, bounds(s), bounds(s + 1), blockStart, outCnt, nbr, eid, outFill, inFill)
-    }
-
-    new PrunedCsr(g, high, blockStart, outCnt, outFill, inFill, nbr, eid, h2h)
-  }
-
-  /** `shards + 1` ascending vertex bounds, from 0 to `nV`, that split the
-    * column entries laid out by `blockStart` about evenly.
-    */
-  private def shardBounds(blockStart: Array[Int], shards: Int): Array[Int] = {
-    val nV = blockStart.length - 1
-    val total = blockStart(nV).toLong
-    val bounds = new Array[Int](shards + 1)
-    var v = 0
-    var s = 1
-    while (s < shards) {
-      while (v < nV && blockStart(v).toLong * shards < total * s) v += 1
-      bounds(s) = v
-      s += 1
-    }
-    bounds(shards) = nV
-    bounds
-  }
-
-  /** Pass 2 for the vertices `[lo, hi)`: their column entries, in ascending
-    * edge-id order per list.
-    */
-  private def fillShard(g: GraphData, high: Array[Boolean], lo: Int, hi: Int,
-                        blockStart: Array[Int], outCnt: Array[Int], nbr: Array[Int],
-                        eid: Array[Int], outFill: Array[Int], inFill: Array[Int]): Unit = {
+  /** Fills every out-list in ascending edge-id order; returns the h2h count. */
+  private def fillOut(g: GraphData, high: Array[Boolean], blockStart: Array[Int],
+                      outSize: Array[Int], nbr: Array[Int], eid: Array[Int]): Int = {
     val src = g.src; val dst = g.dst
+    var h2h = 0
     var e = 0
     while (e < src.length) {
       val u = src(e); val w = dst(e)
-      if (u >= lo && u < hi && !high(u)) {
-        val i = blockStart(u) + outFill(u)
-        nbr(i) = w; eid(i) = e; outFill(u) += 1
-      }
-      if (w >= lo && w < hi && !high(w)) {
-        val i = blockStart(w) + outCnt(w) + inFill(w)
-        nbr(i) = u; eid(i) = e; inFill(w) += 1
-      }
+      if (!high(u)) {
+        val i = blockStart(u) + outSize(u)
+        nbr(i) = w; eid(i) = e; outSize(u) += 1
+      } else if (high(w)) h2h += 1
       e += 1
+    }
+    h2h
+  }
+
+  /** Fills every in-list from its end, scanning edge ids downwards. */
+  private def fillIn(g: GraphData, high: Array[Boolean], blockStart: Array[Int],
+                     inSize: Array[Int], nbr: Array[Int], eid: Array[Int]): Unit = {
+    val src = g.src; val dst = g.dst
+    var e = dst.length - 1
+    while (e >= 0) {
+      val w = dst(e)
+      if (!high(w)) {
+        inSize(w) += 1
+        val i = blockStart(w + 1) - inSize(w)
+        nbr(i) = src(e); eid(i) = e
+      }
+      e -= 1
     }
   }
 
   /** Largest column length the JVM can allocate as one array. */
   val MaxColumnLength: Int = Int.MaxValue - 8
 
-  /** Block start of every vertex (its out-list, then its in-list) for the
-    * given per-vertex entry counts, plus the total column length as the last
-    * element. The running sum is kept in a `Long` so that an adjacency too
-    * large for one array fails here instead of wrapping.
+  /** Block start of every vertex (its out-list, then its in-list): `deg(v)`
+    * entries for a low-degree vertex, none for a high-degree one, plus the
+    * total column length as the last element. The running sum is kept in a
+    * `Long` (it cannot wrap: `|V| * Int.MaxValue < Long.MaxValue`) so that an
+    * adjacency too large for one array fails here.
     */
-  private[core] def blockStarts(outCnt: Array[Int], inCnt: Array[Int]): Array[Int] = {
-    val nV = outCnt.length
+  private[core] def blockStarts(deg: Array[Int], high: Array[Boolean]): Array[Int] = {
+    val nV = deg.length
     val starts = new Array[Int](nV + 1)
     var run = 0L
     var v = 0
     while (v < nV) {
       starts(v) = run.toInt
-      run += outCnt(v).toLong + inCnt(v)
-      require(run <= MaxColumnLength,
-        s"low-degree adjacency needs more than $MaxColumnLength column entries " +
-          s"(reached $run at vertex $v); raise tau or partition a smaller graph")
+      if (!high(v)) run += deg(v)
       v += 1
     }
+    require(run <= MaxColumnLength, s"low-degree adjacency needs $run column entries, more " +
+      s"than the $MaxColumnLength of one array; raise tau or partition a smaller graph")
     starts(nV) = run.toInt
     starts
   }

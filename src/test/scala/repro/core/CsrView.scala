@@ -43,7 +43,7 @@ final class CsrView(csr: PrunedCsr) {
 
 object CsrView {
 
-  /** What a sequential two-pass build gives `g` with high-degree flags
+  /** What a sequential build gives `g` with high-degree flags
     * `high`: each vertex's out-entries `(dst, e)` and in-entries `(src, e)`
     * in ascending edge-id order (none for a high-degree vertex), and the
     * number of h2h edges.

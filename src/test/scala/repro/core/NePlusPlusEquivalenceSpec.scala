@@ -225,12 +225,12 @@ class NePlusPlusEquivalenceSpec extends AnyFunSuite {
     assertGrid("large hub-first", TestGraphs.powerLaw(3000, 20000, gamma = 2.5, seed = 405))
   }
 
-  test("clean-up rounds split across the workers match the frozen loop") {
+  test("clean-up rounds run as parallel streams match the frozen loop") {
     val g = TestGraphs.random(20000, 100000, seed = 406)
     for (k <- Seq(2, 3, 7); tau <- Seq(None, Some(2.0))) {
       val label = s"parallel k=$k tau=${tau.getOrElse("unpruned")}"
       val engine = assertSame(g, k, tau, label, traced = false)
-      assert(engine.parallelCleanUps > 0, s"no clean-up round ran on the workers: $label")
+      assert(engine.parallelCleanUps > 0, s"no clean-up round ran as a parallel stream: $label")
     }
     // with a tracer attached every round stays on the calling thread
     assert(assertSame(g, 2, None, "traced").parallelCleanUps == 0)
@@ -238,10 +238,10 @@ class NePlusPlusEquivalenceSpec extends AnyFunSuite {
 
   test("a traced HEP-100 run pages as the sequential engine did") {
     // accesses and LRU faults recorded before the build and the clean-up
-    // ran on more than one thread; the graph's column is above the parallel
-    // threshold
+    // ran on more than one thread; the graph's column is above the clean-up's
+    // parallel threshold
     val g = TestGraphs.powerLaw(6000, 40000, gamma = 2.5, seed = 407)
-    assert(PrunedCsr.build(g, Some(100.0)).colLength >= PrunedCsr.MinParallelWork)
+    assert(PrunedCsr.build(g, Some(100.0)).colLength >= NePlusPlus.MinParallelWork)
     val counts = Seq(4, 16, 64).map { pages =>
       val sim = new repro.paging.PagingSimulator(pages)
       new Hep(100, sim).partition(g, 32)

@@ -116,14 +116,17 @@ class PrunedCsrSpec extends AnyFunSuite {
 
   test("block offsets are summed in 64 bits and a column past the JVM array limit is rejected") {
     val half = PrunedCsr.MaxColumnLength / 2
-    val fits = PrunedCsr.blockStarts(Array(half, 0), Array(0, PrunedCsr.MaxColumnLength - half))
-    assert(fits.toSeq == Seq(0, half, PrunedCsr.MaxColumnLength))
+    // the high-degree vertex 1 contributes no entries, however large its degree
+    val fits = PrunedCsr.blockStarts(Array(half, Int.MaxValue, PrunedCsr.MaxColumnLength - half),
+      Array(false, true, false))
+    assert(fits.toSeq == Seq(0, half, half, PrunedCsr.MaxColumnLength))
     // 2 * Int.MaxValue entries would wrap to a negative Int length
     val err = intercept[IllegalArgumentException] {
-      PrunedCsr.blockStarts(Array(Int.MaxValue, 0), Array(0, Int.MaxValue))
+      PrunedCsr.blockStarts(Array(Int.MaxValue, Int.MaxValue), Array(false, false))
     }
     assert(err.getMessage.contains("column entries"))
-    intercept[IllegalArgumentException](PrunedCsr.blockStarts(Array(PrunedCsr.MaxColumnLength), Array(1)))
+    intercept[IllegalArgumentException](
+      PrunedCsr.blockStarts(Array(PrunedCsr.MaxColumnLength, 1), Array(false, false)))
   }
 
   /** `csr` holds exactly what the sequential reference build gives `g`. */
@@ -139,30 +142,38 @@ class PrunedCsrSpec extends AnyFunSuite {
   private def highFlags(g: GraphData, tau: Option[Double]): Array[Boolean] =
     tau.fold(new Array[Boolean](g.nV))(g.highDegree)
 
-  test("a graph above the parallel threshold builds as the sequential reference does") {
-    val g = TestGraphs.powerLaw(6000, 40000, gamma = 2.5, seed = 5)
-    for (tau <- Seq(None, Some(100.0), Some(1.0))) {
-      val csr = PrunedCsr.build(g, tau)
-      assert(csr.colLength >= PrunedCsr.MinParallelWork, s"tau=$tau: below the parallel threshold")
-      assertMatchesReference(g, highFlags(g, tau), csr, s"tau=$tau")
-    }
-  }
-
-  test("any number of shards builds as the sequential reference does") {
+  test("every graph builds as the sequential reference does") {
     val graphs = Seq(
-      "power-law" -> TestGraphs.powerLaw(500, 3000, gamma = 2.5, seed = 6),
-      "nV < workers" -> TestGraphs.path(3),
+      "power-law 6000" -> TestGraphs.powerLaw(6000, 40000, gamma = 2.5, seed = 5),
+      "power-law 500" -> TestGraphs.powerLaw(500, 3000, gamma = 2.5, seed = 6),
+      "3-vertex path" -> TestGraphs.path(3),
       // edges only between odd ids: every even vertex is isolated
       "isolated" -> GraphData.fromEdges(41, (0 until 19).map(v => (2 * v + 1, 2 * v + 3))),
       "empty" -> new GraphData(0, Array.empty, Array.empty),
       "no edges" -> new GraphData(5, Array.empty, Array.empty),
     )
-    for ((name, g) <- graphs; tau <- Seq(None, Some(1.0), Some(1e-3));
-         shards <- Seq(1, 2, 3, Runtime.getRuntime.availableProcessors, g.nV + 5)) {
-      val high = highFlags(g, tau)
-      val csr = PrunedCsr.build(g, high, _ => shards)
-      assertMatchesReference(g, high, csr, s"$name tau=$tau shards=$shards")
+    for ((name, g) <- graphs; tau <- Seq(None, Some(100.0), Some(1.0), Some(1e-3))) {
+      val csr = PrunedCsr.build(g, tau)
+      assertMatchesReference(g, highFlags(g, tau), csr, s"$name tau=$tau")
       if (tau.contains(1e-3)) assert(csr.h2hCount == g.nE, s"$name: every edge is h2h at tau -> 0")
+    }
+  }
+
+  test("the build allocates on the calling thread no more than its layout plus 4 KiB") {
+    val threads = java.lang.management.ManagementFactory.getThreadMXBean
+      .asInstanceOf[com.sun.management.ThreadMXBean]
+    val g = TestGraphs.powerLaw(6000, 40000, gamma = 2.5, seed = 5)
+    for (tau <- Seq(None, Some(100.0), Some(1.0))) {
+      var csr = PrunedCsr.build(g, tau)
+      // the least of 20 calls after a warm-up one: a single call sometimes reads more
+      val allocated = (1 to 20).map { _ =>
+        val before = threads.getCurrentThreadAllocatedBytes
+        csr = PrunedCsr.build(g, tau)
+        threads.getCurrentThreadAllocatedBytes - before
+      }.min
+      val layout = 4L * (csr.nbr.length + csr.eid.length + csr.blockStart.length +
+        csr.outCap.length + csr.outSizeArr.length + csr.inSizeArr.length) + csr.high.length
+      assert(allocated <= layout + 4096, s"tau=$tau: $allocated bytes against a $layout-byte layout")
     }
   }
 
