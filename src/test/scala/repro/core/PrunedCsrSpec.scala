@@ -142,20 +142,39 @@ class PrunedCsrSpec extends AnyFunSuite {
   private def highFlags(g: GraphData, tau: Option[Double]): Array[Boolean] =
     tau.fold(new Array[Boolean](g.nV))(g.highDegree)
 
-  test("every graph builds as the sequential reference does") {
+  private val Taus = Seq(None, Some(100.0), Some(1.0), Some(1e-3))
+
+  // The build no longer has a parallel threshold: every graph takes the two
+  // parallel fill tasks. This keeps the large graph the threshold test used.
+  test("a graph above the parallel threshold builds as the sequential reference does") {
+    val g = TestGraphs.powerLaw(6000, 40000, gamma = 2.5, seed = 5)
+    for (tau <- Taus) {
+      val csr = PrunedCsr.build(g, tau)
+      assertMatchesReference(g, highFlags(g, tau), csr, s"tau=$tau")
+      if (tau.contains(1e-3)) assert(csr.h2hCount == g.nE, "every edge is h2h at tau -> 0")
+    }
+  }
+
+  // The build's two fill tasks run on the caller's fork/join pool, so pools of
+  // 1, 2, 3 and all cores run them one after the other or side by side.
+  test("any number of shards builds as the sequential reference does") {
     val graphs = Seq(
-      "power-law 6000" -> TestGraphs.powerLaw(6000, 40000, gamma = 2.5, seed = 5),
-      "power-law 500" -> TestGraphs.powerLaw(500, 3000, gamma = 2.5, seed = 6),
+      "power-law" -> TestGraphs.powerLaw(500, 3000, gamma = 2.5, seed = 6),
       "3-vertex path" -> TestGraphs.path(3),
       // edges only between odd ids: every even vertex is isolated
       "isolated" -> GraphData.fromEdges(41, (0 until 19).map(v => (2 * v + 1, 2 * v + 3))),
       "empty" -> new GraphData(0, Array.empty, Array.empty),
       "no edges" -> new GraphData(5, Array.empty, Array.empty),
     )
-    for ((name, g) <- graphs; tau <- Seq(None, Some(100.0), Some(1.0), Some(1e-3))) {
-      val csr = PrunedCsr.build(g, tau)
-      assertMatchesReference(g, highFlags(g, tau), csr, s"$name tau=$tau")
-      if (tau.contains(1e-3)) assert(csr.h2hCount == g.nE, s"$name: every edge is h2h at tau -> 0")
+    for (threads <- Seq(1, 2, 3, Runtime.getRuntime.availableProcessors).distinct) {
+      val pool = new java.util.concurrent.ForkJoinPool(threads)
+      try {
+        for ((name, g) <- graphs; tau <- Taus) {
+          val csr = pool.submit(() => PrunedCsr.build(g, tau)).get()
+          assertMatchesReference(g, highFlags(g, tau), csr, s"$name tau=$tau threads=$threads")
+          if (tau.contains(1e-3)) assert(csr.h2hCount == g.nE, s"$name: every edge is h2h at tau -> 0")
+        }
+      } finally pool.shutdown()
     }
   }
 
